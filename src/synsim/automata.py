@@ -65,8 +65,3 @@ class Automaton:
         pi = self.p[i]
         self.p = b / (self.r - 1) + (1.0 - b) * self.p
         self.p[i] = (1.0 - b) * pi
-
-    def selected_action(self):
-        if self.last_selected is None:
-            raise ValueError("no action selected yet")
-        return self.actions[self.last_selected]

@@ -3,9 +3,8 @@
 The adaptive controller runs two independent automata, one over the hold
 time grid and one over the capacity grid.  At every window boundary it
 ranks the finished window by `window_score`, converts the rank to a binary
-signal (0 = favorable, 1 = unfavorable) against the previous window (or the
-best one so far), updates both automata with that shared signal, and emits
-the next (h, m).
+signal (0 = favorable, 1 = unfavorable) against the previous window,
+updates both automata with that shared signal, and emits the next (h, m).
 """
 
 from __future__ import annotations
@@ -38,9 +37,8 @@ def window_score(w: WindowMetrics) -> tuple[float, float, float]:
     return (-w.Ploss, w.Pr, w.J)
 
 
-def feedback_signal(score, best, prev, compare_mode: str) -> int:
+def feedback_signal(score, baseline) -> int:
     """0 (favorable) iff the window's score strictly beats the baseline, else 1."""
-    baseline = best if compare_mode == "best-so-far" else prev
     return 0 if score > baseline else 1
 
 
@@ -51,14 +49,12 @@ class StaticController:
 
     def __init__(self, params: DefenseParams):
         self.params = params
-        self.round = 0
 
     def initial_params(self, rng: np.random.Generator) -> DefenseParams:
         return self.params
 
     def on_window_end(self, metrics: WindowMetrics,
                       rng: np.random.Generator) -> DefenseParams:
-        self.round += 1
         return self.params
 
 
@@ -66,18 +62,15 @@ class LaController:
     """Two-automata tuner reinforced by `window_score` comparisons.
 
     Round 0 selects from the uniform priors without any update; from round
-    1 on, each window's score is compared with the previous window's (or,
-    with compare_mode="best-so-far", the best window's), the shared signal
-    updates both automata at their last selected indices, and the next pair
-    is either retained (favorable, retain_on_favorable) or re-sampled from
-    the updated vectors.
+    1 on, each window's score is compared with the previous window's, the
+    shared signal updates both automata at their last selected indices, and
+    the next pair is either retained (favorable) or re-sampled from the
+    updated vectors (unfavorable).
     """
 
     kind = "la"
 
-    def __init__(self, settings: LaSettings, compare_mode: str = "previous-window"):
-        self.settings = settings
-        self.compare_mode = compare_mode
+    def __init__(self, settings: LaSettings):
         self.h_automaton = Automaton(settings.h_actions, settings.a, settings.b)
         self.m_automaton = Automaton(settings.m_actions, settings.a, settings.b)
         self.best_score = _NO_SCORE
@@ -115,8 +108,7 @@ class LaController:
             self.round += 1
             return params
         score = window_score(metrics)
-        beta = feedback_signal(score, self.best_score, self.prev_score,
-                               self.compare_mode)
+        beta = feedback_signal(score, self.prev_score)
         if score > self.best_score:
             self.best_score = score
             self.best_params = self.current
@@ -124,15 +116,12 @@ class LaController:
         hi = self.h_automaton.last_selected
         mi = self.m_automaton.last_selected
         if beta == 0:
+            # keep the winning pair; last_selected stays valid for next round
             self.h_automaton.reward(hi)
             self.m_automaton.reward(mi)
         else:
             self.h_automaton.penalty(hi)
             self.m_automaton.penalty(mi)
-        if beta == 0 and self.settings.retain_on_favorable:
-            # keep the winning pair; last_selected stays valid for next round
-            pass
-        else:
             self.current = self._sample(rng)
         self.round += 1
         self._record()
@@ -142,4 +131,4 @@ class LaController:
 def make_controller(config) -> StaticController | LaController:
     if config.controller_kind == "static":
         return StaticController(config.initial_params)
-    return LaController(config.la_settings, config.compare_mode)
+    return LaController(config.la_settings)

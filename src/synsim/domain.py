@@ -7,14 +7,18 @@ passes these around freely.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
-from enum import Enum
+import math
+import numbers
+from dataclasses import MISSING, dataclass, field, fields
+from enum import IntEnum
 from pathlib import Path
 
 
-class RequestClass(Enum):
-    REGULAR = "regular"
-    ATTACK = "attack"
+class RequestClass(IntEnum):
+    """A request's class; its int value indexes the engine's [regular, attack] pairs."""
+
+    REGULAR = 0
+    ATTACK = 1
 
 
 @dataclass(frozen=True)
@@ -51,7 +55,6 @@ class LaSettings:
     m_actions: tuple[int, ...] = (64, 128, 256, 512, 1024)
     a: float = 0.1
     b: float = 0.05
-    retain_on_favorable: bool = True
 
 
 @dataclass(frozen=True)
@@ -66,16 +69,40 @@ class SimConfig:
     la_settings: LaSettings = field(default_factory=LaSettings)
     hold_mode: str = "deterministic"            # "deterministic" | "exponential"
     epsilon_floor: float = 1e-6
-    # the baseline a window's score (fewer losses, then more Pr, then J; see
-    # controller.window_score) must beat to be favorable.  previous-window
-    # keeps the feedback informative; best-so-far stops rewarding almost
-    # entirely once an early record is set
-    compare_mode: str = "previous-window"       # "best-so-far" | "previous-window"
 
 
-def _check_action_grid(name: str, grid, violations: list[str]) -> None:
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _number(name: str, value, violations: list[str]) -> bool:
+    """True if value is a finite real number, else record why not."""
+    if _is_finite(value):
+        return True
+    violations.append(f"{name} must be a finite number")
+    return False
+
+
+def _integer(name: str, value, violations: list[str]) -> bool:
+    """True if value is an integer (bool excluded), else record why not."""
+    if _is_int(value):
+        return True
+    violations.append(f"{name} must be an integer")
+    return False
+
+
+def _check_action_grid(name: str, grid, is_value, kind: str,
+                       violations: list[str]) -> None:
     if len(grid) == 0:
         violations.append(f"{name} must be non-empty")
+        return
+    if not all(is_value(v) for v in grid):
+        violations.append(f"{name} values must be {kind}")
         return
     if any(v <= 0 for v in grid):
         violations.append(f"{name} values must be positive")
@@ -86,68 +113,84 @@ def _check_action_grid(name: str, grid, violations: list[str]) -> None:
 def validate_config(config: SimConfig) -> list[str]:
     """Return every violated constraint (empty list means the config is ok).
 
-    Total: never raises; every input maps to ok or a non-empty list.
+    Total: never raises; every input maps to ok or a non-empty list.  Each
+    message names the field it is about.
     """
     v: list[str] = []
+    if _integer("master_seed", config.master_seed, v) and config.master_seed < 0:
+        v.append("master_seed must be non-negative")
     t = config.traffic
-    if t.lambda1 < 0:
-        v.append("lambda1 must be non-negative")
-    if t.k < 0:
+    if _number("lambda1", t.lambda1, v) and t.lambda1 <= 0:
+        v.append("lambda1 must be strictly positive")
+    if _number("k", t.k, v) and t.k < 0:
         v.append("k must be non-negative")
-    if t.mu <= 0:
+    if _number("mu", t.mu, v) and t.mu <= 0:
         v.append("mu must be strictly positive")
-    if config.initial_params.h <= 0:
+    p = config.initial_params
+    if _number("h", p.h, v) and p.h <= 0:
         v.append("h must be strictly positive")
-    if config.initial_params.m < 1:
+    if _integer("m", p.m, v) and p.m < 1:
         v.append("m must be at least 1")
-    if config.window_size < 1:
-        v.append("window_size must be at least 1")
-    elif config.total_requests < config.window_size:
-        v.append("window exceeds total requests")
-    if config.epsilon_floor <= 0:
+    total_ok = _integer("total_requests", config.total_requests, v)
+    if _integer("window_size", config.window_size, v):
+        if config.window_size < 1:
+            v.append("window_size must be at least 1")
+        elif total_ok and config.total_requests < config.window_size:
+            v.append("window exceeds total requests")
+    if _number("epsilon_floor", config.epsilon_floor, v) and config.epsilon_floor <= 0:
         v.append("epsilon_floor must be strictly positive")
     if config.controller_kind not in ("static", "la"):
         v.append("controller_kind must be 'static' or 'la'")
     if config.hold_mode not in ("deterministic", "exponential"):
         v.append("hold_mode must be 'deterministic' or 'exponential'")
-    if config.compare_mode not in ("best-so-far", "previous-window"):
-        v.append("compare_mode must be 'best-so-far' or 'previous-window'")
     la = config.la_settings
-    _check_action_grid("h_actions", la.h_actions, v)
-    _check_action_grid("m_actions", la.m_actions, v)
-    if not 0.0 < la.a < 1.0:
+    _check_action_grid("h_actions", la.h_actions, _is_finite, "finite numbers", v)
+    _check_action_grid("m_actions", la.m_actions, _is_int, "integers", v)
+    if _number("reward step a", la.a, v) and not 0.0 < la.a < 1.0:
         v.append("reward step a must lie in (0, 1)")
-    if not 0.0 <= la.b < 1.0:
+    if _number("penalty step b", la.b, v) and not 0.0 <= la.b < 1.0:
         v.append("penalty step b must lie in [0, 1)")
     return v
+
+
+def _keys(cls, data, name: str) -> dict:
+    """data as keyword arguments of dataclass cls.
+
+    Raises ValueError naming every unknown key, or every missing key that
+    has no default.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"{name} must be an object")
+    known = fields(cls)
+    unknown = sorted(set(data) - {f.name for f in known})
+    if unknown:
+        raise ValueError(f"unknown {name} keys: {unknown}")
+    missing = [f.name for f in known if f.name not in data
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ValueError(f"{name} requires keys: {missing}")
+    return dict(data)
 
 
 def config_from_dict(data: dict) -> SimConfig:
     """Build a SimConfig from a plain dict (e.g. parsed JSON).
 
     Every key is optional except master_seed; keys mirror the field names.
+    Unknown or missing keys, nested ones included, raise ValueError.
     """
-    data = dict(data)
-    if "master_seed" not in data:
-        raise ValueError("config requires master_seed")
-    kwargs: dict = {"master_seed": int(data.pop("master_seed"))}
-    if "traffic" in data:
-        kwargs["traffic"] = TrafficModel(**data.pop("traffic"))
-    if "initial_params" in data:
-        ip = data.pop("initial_params")
-        kwargs["initial_params"] = DefenseParams(float(ip["h"]), int(ip["m"]))
-    if "la_settings" in data:
-        ls = dict(data.pop("la_settings"))
+    kwargs = _keys(SimConfig, data, "config")
+    if "traffic" in kwargs:
+        traffic = _keys(TrafficModel, kwargs["traffic"], "traffic")
+        kwargs["traffic"] = TrafficModel(**traffic)
+    if "initial_params" in kwargs:
+        ip = _keys(DefenseParams, kwargs["initial_params"], "initial_params")
+        kwargs["initial_params"] = DefenseParams(float(ip["h"]), ip["m"])
+    if "la_settings" in kwargs:
+        ls = _keys(LaSettings, kwargs["la_settings"], "la_settings")
         for key in ("h_actions", "m_actions"):
             if key in ls:
                 ls[key] = tuple(ls[key])
         kwargs["la_settings"] = LaSettings(**ls)
-    for key in ("total_requests", "window_size", "controller_kind",
-                "hold_mode", "epsilon_floor", "compare_mode"):
-        if key in data:
-            kwargs[key] = data.pop(key)
-    if data:
-        raise ValueError(f"unknown config keys: {sorted(data)}")
     return SimConfig(**kwargs)
 
 
@@ -155,7 +198,3 @@ def load_config(path: str | Path) -> SimConfig:
     """Load a SimConfig from a UTF-8 JSON document."""
     with open(path, encoding="utf-8") as f:
         return config_from_dict(json.load(f))
-
-
-def with_seed(config: SimConfig, seed: int) -> SimConfig:
-    return replace(config, master_seed=seed)

@@ -8,6 +8,13 @@ mid-run: h is retroactive (residents past the new timeout are evicted on
 the spot), an m shrink evicts nothing and simply blocks admissions until
 the buffer drains below the new cap.
 
+Bookkeeping keeps one representation per concept.  Every per-class count
+(arrivals, admissions, blocks, completions, expiries, occupancy, the
+normalized occupancy integral) is a [regular, attack] pair indexed by the
+RequestClass int; an entry is resident iff it is in `residents`.  A window's
+metrics are the differences of the running counters, which the state lists
+in finalize_window's argument order.
+
 One master seed derives four independent RNG streams (regular arrivals,
 attack arrivals, entry lifetimes, action selection), so swapping the
 controller never perturbs the traffic sample path.
@@ -16,7 +23,7 @@ controller never perturbs the traffic sample path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
 
 import numpy as np
@@ -26,6 +33,8 @@ from .domain import DefenseParams, RequestClass, SimConfig, validate_config
 from .metrics import WindowMetrics, cumulative_metrics, finalize_window
 
 _INF = math.inf
+REG, ATT = RequestClass.REGULAR, RequestClass.ATTACK
+CLASS_LABEL = tuple(cls.name.lower() for cls in RequestClass)  # event-trace text
 
 # event-kind labels used in traces
 EV_ADMIT = "admit"
@@ -59,16 +68,15 @@ class _ExpStream:
 
 
 class _Entry:
-    __slots__ = ("cls", "admit", "service", "hold_unit", "dep", "cause", "resident")
+    __slots__ = ("cls", "admit", "service", "hold_unit", "dep", "cause")
 
     def __init__(self, cls, admit, service, hold_unit):
-        self.cls = cls            # RequestClass
+        self.cls = cls            # RequestClass, also the index into every pair
         self.admit = admit
         self.service = service    # absolute completion delay; inf for attack
         self.hold_unit = hold_unit  # Exp(1) draw, None in deterministic mode
         self.dep = 0.0
         self.cause = EV_EXPIRE
-        self.resident = True
 
     def schedule(self, h: float) -> None:
         """Recompute departure time and cause under hold time h."""
@@ -91,20 +99,14 @@ class EvictionSummary:
 
 @dataclass
 class RunTotals:
-    """Whole-run per-class conservation counters (drain included)."""
+    """Whole-run per-class conservation counters, keyed by RequestClass."""
 
-    arrivals: dict = field(default_factory=lambda: {RequestClass.REGULAR: 0,
-                                                    RequestClass.ATTACK: 0})
-    admitted: dict = field(default_factory=lambda: {RequestClass.REGULAR: 0,
-                                                    RequestClass.ATTACK: 0})
-    blocked: dict = field(default_factory=lambda: {RequestClass.REGULAR: 0,
-                                                   RequestClass.ATTACK: 0})
-    completed: dict = field(default_factory=lambda: {RequestClass.REGULAR: 0,
-                                                     RequestClass.ATTACK: 0})
-    expired: dict = field(default_factory=lambda: {RequestClass.REGULAR: 0,
-                                                   RequestClass.ATTACK: 0})
-    residents_at_drain: dict = field(default_factory=lambda: {RequestClass.REGULAR: 0,
-                                                              RequestClass.ATTACK: 0})
+    arrivals: dict
+    admitted: dict
+    blocked: dict
+    completed: dict
+    expired: dict
+    residents_at_drain: dict
 
 
 @dataclass
@@ -118,35 +120,31 @@ class SimReport:
 
     @property
     def legit_expired_fraction(self) -> float:
-        admitted = self.totals.admitted[RequestClass.REGULAR]
-        return self.totals.expired[RequestClass.REGULAR] / admitted if admitted else 0.0
+        admitted = self.totals.admitted[REG]
+        return self.totals.expired[REG] / admitted if admitted else 0.0
 
 
 class BacklogState:
-    """Mutable backlog: residents, current (h, m), occupancy integrals, counts."""
+    """Mutable backlog: residents, current (h, m), per-class counts and integrals."""
 
     def __init__(self, params: DefenseParams, hold_mode: str, mu: float,
                  lifetime_rng: np.random.Generator):
         self.params = params
-        self.hold_mode = hold_mode
+        self.exponential_hold = hold_mode == "exponential"
         self.mu = mu
         self.lifetime = _ExpStream(lifetime_rng, 1.0)  # unit-rate draws
         self.residents: set[_Entry] = set()
-        self.n_regular = 0
-        self.n_attack = 0
         self.clock = 0.0
         self.heap: list = []
         self._seq = 0
-        # raw slot-seconds and normalized (n/m) integrals
-        self.occupancy_integral_regular = 0.0
-        self.occupancy_integral_attack = 0.0
-        self.normalized_integral_regular = 0.0
-        self.normalized_integral_attack = 0.0
-        self.arrivals = {RequestClass.REGULAR: 0, RequestClass.ATTACK: 0}
-        self.admitted = {RequestClass.REGULAR: 0, RequestClass.ATTACK: 0}
-        self.blocked = {RequestClass.REGULAR: 0, RequestClass.ATTACK: 0}
-        self.completed = {RequestClass.REGULAR: 0, RequestClass.ATTACK: 0}
-        self.expired = {RequestClass.REGULAR: 0, RequestClass.ATTACK: 0}
+        # [regular, attack] pairs
+        self.arrivals = [0, 0]
+        self.admitted = [0, 0]
+        self.blocked = [0, 0]
+        self.completed = [0, 0]
+        self.expired = [0, 0]
+        self.occupancy = [0, 0]
+        self.integral = [0.0, 0.0]  # time integral of occupancy / m
 
     # -- time ------------------------------------------------------------
 
@@ -155,30 +153,30 @@ class BacklogState:
         dt = t - self.clock
         if dt > 0.0:
             m = self.params.m
-            nr = self.n_regular
-            na = self.n_attack
-            self.occupancy_integral_regular += dt * nr
-            self.occupancy_integral_attack += dt * na
-            self.normalized_integral_regular += dt * nr / m
-            self.normalized_integral_attack += dt * na / m
+            occupancy = self.occupancy
+            integral = self.integral
+            integral[0] += dt * occupancy[0] / m
+            integral[1] += dt * occupancy[1] / m
         self.clock = t
+
+    def window_counters(self) -> tuple:
+        """Running counters in finalize_window's argument order, duration last."""
+        return (*self.arrivals, *self.blocked, self.completed[REG], self.expired[REG],
+                *self.integral, self.clock)
 
     # -- admissions ------------------------------------------------------
 
     def admit_or_block(self, cls: RequestClass, now: float) -> _Entry | None:
         """Admit if a slot is free, else count a block.  Returns the entry."""
         self.arrivals[cls] += 1
-        if self.n_regular + self.n_attack >= self.params.m:
+        occupancy = self.occupancy
+        if occupancy[0] + occupancy[1] >= self.params.m:
             self.blocked[cls] += 1
             return None
         self.admitted[cls] += 1
-        if cls is RequestClass.REGULAR:
-            service = self.lifetime.draw() / self.mu
-            self.n_regular += 1
-        else:
-            service = _INF
-            self.n_attack += 1
-        hold_unit = self.lifetime.draw() if self.hold_mode == "exponential" else None
+        occupancy[cls] += 1
+        service = self.lifetime.draw() / self.mu if cls is REG else _INF
+        hold_unit = self.lifetime.draw() if self.exponential_hold else None
         entry = _Entry(cls, now, service, hold_unit)
         entry.schedule(self.params.h)
         self.residents.add(entry)
@@ -192,13 +190,9 @@ class BacklogState:
     # -- departures ------------------------------------------------------
 
     def depart(self, entry: _Entry) -> None:
-        entry.resident = False
-        self.residents.discard(entry)
-        if entry.cls is RequestClass.REGULAR:
-            self.n_regular -= 1
-        else:
-            self.n_attack -= 1
-        if entry.cause == EV_COMPLETE:
+        self.residents.remove(entry)
+        self.occupancy[entry.cls] -= 1
+        if entry.cause is EV_COMPLETE:
             self.completed[entry.cls] += 1
         else:
             self.expired[entry.cls] += 1
@@ -206,12 +200,13 @@ class BacklogState:
     def pop_due(self, until: float) -> _Entry | None:
         """Pop the next valid departure with dep <= until, skipping stale items."""
         heap = self.heap
+        residents = self.residents
         while heap:
             dep, _, entry = heap[0]
             if dep > until:
                 return None
             heappop(heap)
-            if entry.resident and entry.dep == dep:
+            if entry.dep == dep and entry in residents:
                 return entry
         return None
 
@@ -219,11 +214,10 @@ class BacklogState:
 
     def apply_defense_params(self, new: DefenseParams, now: float) -> EvictionSummary:
         """Install new (h, m).  h is retroactive; m-shrink never evicts."""
-        summary = EvictionSummary()
         h_changed = new.h != self.params.h
         self.params = new
         if not h_changed:
-            return summary
+            return EvictionSummary()
         evicted = []
         for entry in self.residents:
             entry.schedule(new.h)
@@ -231,35 +225,27 @@ class BacklogState:
                 evicted.append(entry)
             else:
                 self._push(entry)
+        counts = [0, 0]
         for entry in evicted:
             entry.cause = EV_EXPIRE
             self.depart(entry)
-            if entry.cls is RequestClass.REGULAR:
-                summary.regular += 1
-            else:
-                summary.attack += 1
-        return summary
-
-    def snapshot(self) -> tuple:
-        return (self.arrivals[RequestClass.REGULAR], self.arrivals[RequestClass.ATTACK],
-                self.blocked[RequestClass.REGULAR], self.blocked[RequestClass.ATTACK],
-                self.completed[RequestClass.REGULAR],
-                self.expired[RequestClass.REGULAR],
-                self.normalized_integral_regular, self.normalized_integral_attack,
-                self.clock)
+            counts[entry.cls] += 1
+        return EvictionSummary(*counts)
 
 
 class ConservationError(AssertionError):
     pass
 
 
-def _audit(state: BacklogState, totals: RunTotals) -> None:
+def _audit(totals: RunTotals) -> None:
     for cls in RequestClass:
+        label = CLASS_LABEL[cls]
         if totals.admitted[cls] != (totals.completed[cls] + totals.expired[cls]
                                     + totals.residents_at_drain[cls]):
-            raise ConservationError(f"{cls.value}: admitted != completed + expired + residents")
+            raise ConservationError(
+                f"{label}: admitted != completed + expired + residents")
         if totals.admitted[cls] + totals.blocked[cls] != totals.arrivals[cls]:
-            raise ConservationError(f"{cls.value}: admitted + blocked != arrivals")
+            raise ConservationError(f"{label}: admitted + blocked != arrivals")
 
 
 def run_simulation(config: SimConfig, controller=None, seed: int | None = None,
@@ -282,8 +268,6 @@ def run_simulation(config: SimConfig, controller=None, seed: int | None = None,
     rng_reg, rng_att, rng_life, rng_la = (np.random.default_rng(c)
                                           for c in ss.spawn(4))
     traffic = config.traffic
-    if traffic.lambda1 == 0.0 and traffic.lambda2 == 0.0 and config.total_requests > 0:
-        raise ValueError("no arrival stream has positive rate")
     reg_stream = _ExpStream(rng_reg, traffic.lambda1)
     att_stream = _ExpStream(rng_att, traffic.lambda2)
 
@@ -291,11 +275,11 @@ def run_simulation(config: SimConfig, controller=None, seed: int | None = None,
     state = BacklogState(params, config.hold_mode, traffic.mu, rng_life)
 
     trace = event_trace
-    REG, ATT = RequestClass.REGULAR, RequestClass.ATTACK
+    occupancy = state.occupancy
 
-    def emit(t: float, kind: str, cls: str) -> None:
+    def emit(t: float, kind: str, label: str) -> None:
         p = state.params
-        trace.write(f"{t!r}\t{kind}\t{cls}\t{state.n_regular + state.n_attack}"
+        trace.write(f"{t!r}\t{kind}\t{label}\t{occupancy[0] + occupancy[1]}"
                     f"\t{p.m}\t{p.h!r}\n")
 
     total = config.total_requests
@@ -303,7 +287,7 @@ def run_simulation(config: SimConfig, controller=None, seed: int | None = None,
     n_windows = total // wsize
     windows: list[WindowMetrics] = []
     trajectory: list[tuple[int, DefenseParams]] = [(0, params)]
-    win_start = state.snapshot()
+    win_start = state.window_counters()
 
     next_reg = reg_stream.draw()
     next_att = att_stream.draw()
@@ -320,7 +304,7 @@ def run_simulation(config: SimConfig, controller=None, seed: int | None = None,
             state.advance_to(entry.dep)
             state.depart(entry)
             if trace:
-                emit(entry.dep, entry.cause, entry.cls.value)
+                emit(entry.dep, entry.cause, CLASS_LABEL[entry.cls])
         state.advance_to(t_arr)
         if cls is REG:
             next_reg = t_arr + reg_stream.draw()
@@ -328,27 +312,16 @@ def run_simulation(config: SimConfig, controller=None, seed: int | None = None,
             next_att = t_arr + att_stream.draw()
         admitted = state.admit_or_block(cls, t_arr)
         if trace:
-            emit(t_arr, EV_ADMIT if admitted else EV_BLOCK, cls.value)
+            emit(t_arr, EV_ADMIT if admitted else EV_BLOCK, CLASS_LABEL[cls])
         arrivals_done += 1
         horizon = t_arr
 
         if arrivals_done % wsize == 0 and len(windows) < n_windows:
-            end = state.snapshot()
-            duration = end[8] - win_start[8]
-            wm = finalize_window(
-                arrivals_regular=end[0] - win_start[0],
-                arrivals_attack=end[1] - win_start[1],
-                blocked_regular=end[2] - win_start[2],
-                blocked_attack=end[3] - win_start[3],
-                completed=end[4] - win_start[4],
-                legit_expired=end[5] - win_start[5],
-                norm_integral_regular=end[6] - win_start[6],
-                norm_integral_attack=end[7] - win_start[7],
-                duration=duration,
-                epsilon_floor=config.epsilon_floor,
-            )
+            win_end = state.window_counters()
+            wm = finalize_window(*(e - s for e, s in zip(win_end, win_start)),
+                                 epsilon_floor=config.epsilon_floor)
             windows.append(wm)
-            win_start = end
+            win_start = win_end
             new_params = controller.on_window_end(wm, rng_la)
             evictions = state.apply_defense_params(new_params, t_arr)
             if trace and (new_params != params or evictions.regular or evictions.attack):
@@ -357,26 +330,17 @@ def run_simulation(config: SimConfig, controller=None, seed: int | None = None,
             if len(windows) < n_windows:
                 trajectory.append((len(windows), params))
 
-    totals = RunTotals()
-    for cls in RequestClass:
-        totals.arrivals[cls] = state.arrivals[cls]
-        totals.admitted[cls] = state.admitted[cls]
-        totals.blocked[cls] = state.blocked[cls]
-    totals.residents_at_drain[REG] = state.n_regular
-    totals.residents_at_drain[ATT] = state.n_attack
-
     # drain all residents after the last arrival
     while (entry := state.pop_due(_INF)) is not None:
         state.advance_to(entry.dep)
         state.depart(entry)
         if trace:
-            emit(entry.dep, entry.cause, entry.cls.value)
-    for cls in RequestClass:
-        totals.completed[cls] = state.completed[cls]
-        totals.expired[cls] = state.expired[cls]
-    # everything drained: the residents term of the audit is now zero
-    totals.residents_at_drain = {cls: 0 for cls in RequestClass}
-    _audit(state, totals)
+            emit(entry.dep, entry.cause, CLASS_LABEL[entry.cls])
+
+    totals = RunTotals(*(dict(zip(RequestClass, pair)) for pair in (
+        state.arrivals, state.admitted, state.blocked, state.completed, state.expired,
+        state.occupancy)))
+    _audit(totals)
 
     return SimReport(
         windows=windows,

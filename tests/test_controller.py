@@ -31,20 +31,39 @@ def test_static_custom_params_pass_through():
 
 
 def test_feedback_strict_improvement_is_favorable():
-    assert feedback_signal(20.0, 15.0, 0.0, "best-so-far") == 0
+    assert feedback_signal(20.0, 15.0) == 0
 
 
 def test_feedback_tie_is_unfavorable():
-    assert feedback_signal(15.0, 15.0, 0.0, "best-so-far") == 1
+    assert feedback_signal(15.0, 15.0) == 1
 
 
 def test_feedback_first_window_always_favorable():
-    assert feedback_signal(1e-9, 0.0, 0.0, "best-so-far") == 0
+    # the worst possible first window is still rewarded and its pair kept
+    ctrl = LaController(LaSettings())
+    rng = np.random.default_rng(11)
+    first = ctrl.initial_params(rng)
+    hi = ctrl.h_automaton.last_selected
+    p_before = ctrl.h_automaton.p[hi]
+    worst = WindowMetrics(500, 0, 500, 0, 0, 0, 1.0, 0.0, 0.0, 0.0, 1.0)
+    assert ctrl.on_window_end(worst, rng) == first
+    assert ctrl.h_automaton.p[hi] > p_before
 
 
 def test_feedback_previous_window_mode():
-    assert feedback_signal(5.0, 100.0, 4.0, "previous-window") == 0
-    assert feedback_signal(5.0, 0.0, 5.0, "previous-window") == 1
+    # the baseline is the previous window, not the best one so far
+    ctrl = LaController(LaSettings())
+    rng = np.random.default_rng(4)
+    ctrl.initial_params(rng)
+    ctrl.on_window_end(window_with_j(100.0), rng)   # record
+    ctrl.on_window_end(window_with_j(4.0), rng)     # worse: re-sample
+    hi = ctrl.h_automaton.last_selected
+    p_before = ctrl.h_automaton.p[hi]
+    ctrl.on_window_end(window_with_j(5.0), rng)     # beats 4, not 100
+    assert ctrl.h_automaton.p[hi] > p_before
+    p_before = ctrl.h_automaton.p[hi]
+    ctrl.on_window_end(window_with_j(5.0), rng)     # ties 5
+    assert ctrl.h_automaton.p[hi] < p_before
 
 
 def test_round_zero_selection_is_reproducible():
@@ -66,13 +85,13 @@ def test_round_zero_does_not_update_probabilities():
 
 
 def test_favorable_retains_params_but_still_updates_vectors():
-    settings = LaSettings(retain_on_favorable=True, a=0.1, b=0.05)
-    ctrl = LaController(settings, compare_mode="best-so-far")
+    settings = LaSettings(a=0.1, b=0.05)
+    ctrl = LaController(settings)
     rng = np.random.default_rng(7)
     first = ctrl.initial_params(rng)
     hi, mi = ctrl.h_automaton.last_selected, ctrl.m_automaton.last_selected
     ph_before = ctrl.h_automaton.p.copy()
-    # J > J_best (0) so the first window is favorable
+    # the first window is always favorable
     out = ctrl.on_window_end(window_with_j(10.0), rng)
     assert out == first
     assert ctrl.h_automaton.p[hi] > ph_before[hi]
@@ -81,8 +100,8 @@ def test_favorable_retains_params_but_still_updates_vectors():
 
 
 def test_unfavorable_resamples_from_updated_vectors():
-    settings = LaSettings(retain_on_favorable=True)
-    ctrl = LaController(settings, compare_mode="best-so-far")
+    settings = LaSettings()
+    ctrl = LaController(settings)
     rng = np.random.default_rng(3)
     ctrl.initial_params(rng)
     ctrl.on_window_end(window_with_j(10.0), rng)       # sets the record
@@ -91,7 +110,7 @@ def test_unfavorable_resamples_from_updated_vectors():
 
 
 def test_both_automata_receive_same_signal():
-    ctrl = LaController(LaSettings(retain_on_favorable=False))
+    ctrl = LaController(LaSettings())
     rng = np.random.default_rng(5)
     ctrl.initial_params(rng)
     for j in (3.0, 1.0, 7.0, 2.0):
@@ -122,10 +141,10 @@ def test_la_finds_synthetic_optimum():
     # probability vectors stays noisy, so we check the best-pair memory
     # (which should land on the optimum essentially always) and only ask for
     # a majority on each marginal mode.
-    settings = LaSettings(a=0.1, b=0.05, retain_on_favorable=True)
+    settings = LaSettings(a=0.1, b=0.05)
     best_hits = modal_h_hits = modal_m_hits = 0
     for seed in range(50):
-        ctrl = LaController(settings, compare_mode="previous-window")
+        ctrl = LaController(settings)
         rng = np.random.default_rng(seed)
         params = ctrl.initial_params(rng)
         noise = np.random.default_rng(seed + 1000)
@@ -162,7 +181,7 @@ def rate_weighted_means(k):
     settings = LaSettings()
     pairs = list(itertools.product(settings.h_actions, settings.m_actions))
     scores = {p: window_score(closed_form_window(*p, k)) for p in pairs}
-    rates = {x: sum(feedback_signal(scores[x], None, scores[y], "previous-window") == 0
+    rates = {x: sum(feedback_signal(scores[x], scores[y]) == 0
                     for y in pairs if y != x)
              for x in pairs}
     total = sum(rates.values())

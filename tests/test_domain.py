@@ -1,10 +1,12 @@
 import json
+import math
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from synsim import (DefenseParams, SimConfig, TrafficModel, config_from_dict,
-                    load_config, validate_config)
+from synsim import (DefenseParams, LaSettings, SimConfig, TrafficModel,
+                    config_from_dict, load_config, run_simulation, validate_config)
 
 
 def _cfg(**kw):
@@ -39,7 +41,7 @@ def test_all_violations_reported_not_just_first():
 
 
 def test_validation_is_total_on_weird_inputs():
-    cfg = _cfg(controller_kind="bogus", hold_mode="bogus", compare_mode="bogus")
+    cfg = _cfg(controller_kind="bogus", hold_mode="bogus", window_size="bogus")
     violations = validate_config(cfg)
     assert violations  # returns a list, never raises
 
@@ -78,3 +80,94 @@ def test_master_seed_is_required():
 def test_unknown_keys_rejected():
     with pytest.raises(ValueError, match="unknown"):
         config_from_dict({"master_seed": 1, "typo_field": 3})
+
+
+NAN, INF = math.nan, math.inf
+BASE = SimConfig(master_seed=1)
+
+
+def _traffic(**kw):
+    return replace(BASE, traffic=replace(BASE.traffic, **kw))
+
+
+def _la(**kw):
+    return replace(BASE, la_settings=replace(BASE.la_settings, **kw))
+
+
+@pytest.mark.parametrize("config, field", [
+    (_traffic(lambda1=NAN), "lambda1"),
+    (_traffic(lambda1=INF), "lambda1"),
+    (_traffic(lambda1=0.0), "lambda1"),
+    (_traffic(k=NAN), "k"),
+    (_traffic(k=INF), "k"),
+    (_traffic(mu=NAN), "mu"),
+    (_traffic(mu=INF), "mu"),
+    (replace(BASE, initial_params=DefenseParams(NAN, 128)), "h"),
+    (replace(BASE, initial_params=DefenseParams(INF, 128)), "h"),
+    (replace(BASE, initial_params=DefenseParams(75.0, 2.5)), "m"),
+    (replace(BASE, epsilon_floor=NAN), "epsilon_floor"),
+    (replace(BASE, epsilon_floor=INF), "epsilon_floor"),
+    (_la(a=NAN), "reward step a"),
+    (_la(b=NAN), "penalty step b"),
+    (_la(b=INF), "penalty step b"),
+    (_la(h_actions=(0.5, NAN)), "h_actions"),
+    (_la(h_actions=(0.5, INF)), "h_actions"),
+    (_la(m_actions=(64, 128.5)), "m_actions"),
+    (replace(BASE, window_size=500.5), "window_size"),
+    (replace(BASE, total_requests=True), "total_requests"),
+    (replace(BASE, master_seed=-1), "master_seed"),
+])
+def test_bad_config_rejected_naming_the_field(config, field):
+    violations = validate_config(config)
+    assert violations and all(v.startswith(field + " ") for v in violations)
+    with pytest.raises(ValueError, match=f"invalid config: {field} "):
+        run_simulation(config)
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"traffic": {"lambda1": 10, "typo": 1}}, "unknown traffic keys: \\['typo'\\]"),
+    ({"initial_params": {"h": 10, "m": 64, "x": 0}}, "unknown initial_params keys"),
+    ({"la_settings": {"retain_on_favorable": True}},
+     "unknown la_settings keys: \\['retain_on_favorable'\\]"),
+    ({"initial_params": {"h": 10}}, "initial_params requires keys: \\['m'\\]"),
+    ({"compare_mode": "best-so-far"}, "unknown config keys: \\['compare_mode'\\]"),
+    ({"traffic": [10, 1, 100]}, "traffic must be an object"),
+])
+def test_bad_config_dict_rejected_naming_the_key(doc, key):
+    with pytest.raises(ValueError, match=key):
+        config_from_dict({"master_seed": 1, **doc})
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    lambda1=st.floats(0.01, 100.0),
+    k=st.floats(0.0, 5.0),
+    mu=st.floats(0.01, 200.0),
+    h=st.floats(0.01, 100.0),
+    m=st.integers(1, 64),
+    total=st.integers(1, 2000),
+    window_share=st.floats(0.0, 1.0),
+    kind=st.sampled_from(["static", "la"]),
+    hold_mode=st.sampled_from(["deterministic", "exponential"]),
+)
+def test_valid_configs_give_meaningful_runs(seed, lambda1, k, mu, h, m, total,
+                                            window_share, kind, hold_mode):
+    window = max(1, int(total * window_share))
+    config = SimConfig(master_seed=seed, traffic=TrafficModel(lambda1, k, mu),
+                       total_requests=total, window_size=window,
+                       controller_kind=kind, initial_params=DefenseParams(h, m),
+                       la_settings=LaSettings(m_actions=(1, 8, 64)),
+                       hold_mode=hold_mode)
+    assert validate_config(config) == []
+    report = run_simulation(config)
+    t = report.totals
+    for cls in t.arrivals:
+        assert t.admitted[cls] == (t.completed[cls] + t.expired[cls]
+                                   + t.residents_at_drain[cls])
+        assert t.admitted[cls] + t.blocked[cls] == t.arrivals[cls]
+    assert sum(t.arrivals.values()) == total
+    assert sum(t.residents_at_drain.values()) == 0
+    for w in report.windows + [report.cumulative]:
+        assert 0.0 <= w.Ploss <= 1.0
+        assert all(math.isfinite(x) for x in (w.Pr, w.Pa, w.J))
