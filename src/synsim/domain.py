@@ -137,6 +137,8 @@ def validate_config(config: SimConfig) -> list[str]:
             v.append("window_size must be at least 1")
         elif total_ok and config.total_requests < config.window_size:
             v.append("window exceeds total requests")
+        elif total_ok and config.total_requests % config.window_size:
+            v.append("total_requests must be a multiple of window_size")
     if _number("epsilon_floor", config.epsilon_floor, v) and config.epsilon_floor <= 0:
         v.append("epsilon_floor must be strictly positive")
     if config.controller_kind not in ("static", "la"):

@@ -18,11 +18,21 @@ in finalize_window's argument order.
 One master seed derives four independent RNG streams (regular arrivals,
 attack arrivals, entry lifetimes, action selection), so swapping the
 controller never perturbs the traffic sample path.
+
+The loop does little Python work per event.  Each arrival stream is read
+as absolute times, sampled 8192 gaps at a time and summed per block with
+np.cumsum (the same left-to-right sums as adding one gap at a time);
+lifetimes are drawn one at a time, on admission.  The loop passes the class
+as a plain 0/1 int, asks the heap for departures only when its top is due,
+and collects the event trace per window, which it writes in one call.  A
+run is a whole number of windows, so every arrival lands in one.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
@@ -33,7 +43,7 @@ from .domain import DefenseParams, RequestClass, SimConfig, validate_config
 from .metrics import WindowMetrics, cumulative_metrics, finalize_window
 
 _INF = math.inf
-REG, ATT = RequestClass.REGULAR, RequestClass.ATTACK
+REG = RequestClass.REGULAR
 CLASS_LABEL = tuple(cls.name.lower() for cls in RequestClass)  # event-trace text
 
 # event-kind labels used in traces
@@ -45,38 +55,68 @@ EV_PARAMS = "params"
 
 
 class _ExpStream:
-    """Blockwise exponential inter-arrival sampler; rate 0 never fires."""
+    """Blockwise exponential sampler; rate 0 never fires.
 
-    __slots__ = ("rng", "rate", "buf", "pos")
+    A stream is read either gap by gap with draw(), or as absolute times
+    with times(): the running left-to-right sum of the same gaps, one
+    np.cumsum per block, bit for bit the sum `t = t + draw()` would build.
+    """
+
+    __slots__ = ("rng", "rate", "block", "buf", "pos")
 
     def __init__(self, rng: np.random.Generator, rate: float, block: int = 8192):
         self.rng = rng
         self.rate = rate
-        self.buf = rng.exponential(1.0 / rate, block) if rate > 0 else None
+        self.block = block
+        self.buf = [] if rate > 0 else None  # filled on the first draw
         self.pos = 0
+
+    def _gaps(self) -> np.ndarray:
+        return self.rng.exponential(1.0 / self.rate, self.block)
 
     def draw(self) -> float:
         buf = self.buf
         if buf is None:
             return _INF
-        if self.pos >= len(buf):
-            self.buf = buf = self.rng.exponential(1.0 / self.rate, len(buf))
-            self.pos = 0
-        v = buf[self.pos]
-        self.pos += 1
-        return float(v)
+        pos = self.pos
+        if pos >= len(buf):
+            self.buf = buf = self._gaps().tolist()
+            pos = 0
+        self.pos = pos + 1
+        return buf[pos]
+
+    def times(self) -> Iterator[float]:
+        if self.buf is None:
+            return itertools.repeat(_INF)
+        return itertools.chain.from_iterable(self._time_blocks())
+
+    def _time_blocks(self) -> Iterator[list[float]]:
+        t = 0.0
+        while True:
+            gaps = self._gaps()
+            gaps[0] += t  # the block's first sum starts from the last time
+            block = np.cumsum(gaps).tolist()
+            yield block
+            t = block[-1]
 
 
 class _Entry:
     __slots__ = ("cls", "admit", "service", "hold_unit", "dep", "cause")
 
-    def __init__(self, cls, admit, service, hold_unit):
-        self.cls = cls            # RequestClass, also the index into every pair
+    def __init__(self, cls, admit, service, hold_unit, h):
+        self.cls = cls            # 0 regular, 1 attack: the index into every pair
         self.admit = admit
         self.service = service    # absolute completion delay; inf for attack
         self.hold_unit = hold_unit  # Exp(1) draw, None in deterministic mode
-        self.dep = 0.0
-        self.cause = EV_EXPIRE
+        # schedule(h), inlined: this runs once per admission
+        timeout = admit + (h if hold_unit is None else hold_unit * h)
+        completion = admit + service
+        if completion < timeout:
+            self.dep = completion
+            self.cause = EV_COMPLETE
+        else:
+            self.dep = timeout
+            self.cause = EV_EXPIRE
 
     def schedule(self, h: float) -> None:
         """Recompute departure time and cause under hold time h."""
@@ -166,21 +206,22 @@ class BacklogState:
 
     # -- admissions ------------------------------------------------------
 
-    def admit_or_block(self, cls: RequestClass, now: float) -> _Entry | None:
+    def admit_or_block(self, cls: int, now: float) -> _Entry | None:
         """Admit if a slot is free, else count a block.  Returns the entry."""
         self.arrivals[cls] += 1
         occupancy = self.occupancy
-        if occupancy[0] + occupancy[1] >= self.params.m:
+        params = self.params
+        if occupancy[0] + occupancy[1] >= params.m:
             self.blocked[cls] += 1
             return None
         self.admitted[cls] += 1
         occupancy[cls] += 1
-        service = self.lifetime.draw() / self.mu if cls is REG else _INF
+        service = _INF if cls else self.lifetime.draw() / self.mu
         hold_unit = self.lifetime.draw() if self.exponential_hold else None
-        entry = _Entry(cls, now, service, hold_unit)
-        entry.schedule(self.params.h)
+        entry = _Entry(cls, now, service, hold_unit, params.h)
         self.residents.add(entry)
-        self._push(entry)
+        self._seq += 1
+        heappush(self.heap, (entry.dep, self._seq, entry))
         return entry
 
     def _push(self, entry: _Entry) -> None:
@@ -275,67 +316,73 @@ def run_simulation(config: SimConfig, controller=None, seed: int | None = None,
     state = BacklogState(params, config.hold_mode, traffic.mu, rng_life)
 
     trace = event_trace
+    lines: list[str] = []  # trace lines of the current window, one write each
     occupancy = state.occupancy
+    suffix = f"\t{params.m}\t{params.h!r}\n"  # the m and h columns
 
     def emit(t: float, kind: str, label: str) -> None:
-        p = state.params
-        trace.write(f"{t!r}\t{kind}\t{label}\t{occupancy[0] + occupancy[1]}"
-                    f"\t{p.m}\t{p.h!r}\n")
+        lines.append(f"{t!r}\t{kind}\t{label}\t{occupancy[0] + occupancy[1]}{suffix}")
 
-    total = config.total_requests
     wsize = config.window_size
-    n_windows = total // wsize
+    n_windows = config.total_requests // wsize
     windows: list[WindowMetrics] = []
     trajectory: list[tuple[int, DefenseParams]] = [(0, params)]
     win_start = state.window_counters()
 
-    next_reg = reg_stream.draw()
-    next_att = att_stream.draw()
-    arrivals_done = 0
-    horizon = 0.0
+    heap = state.heap
+    pop_due, depart, advance_to = state.pop_due, state.depart, state.advance_to
+    admit_or_block = state.admit_or_block
+    next_reg_time = reg_stream.times().__next__
+    next_att_time = att_stream.times().__next__
+    next_reg = next_reg_time()
+    next_att = next_att_time()
 
-    while arrivals_done < total:
-        if next_reg <= next_att:
-            t_arr, cls = next_reg, REG
-        else:
-            t_arr, cls = next_att, ATT
-        # same-time tie: departures run before the arrival
-        while (entry := state.pop_due(t_arr)) is not None:
-            state.advance_to(entry.dep)
-            state.depart(entry)
+    for window in range(1, n_windows + 1):
+        for _ in itertools.repeat(None, wsize):
+            if next_reg <= next_att:
+                t_arr = next_reg
+                cls = 0
+                next_reg = next_reg_time()
+            else:
+                t_arr = next_att
+                cls = 1
+                next_att = next_att_time()
+            # same-time tie: departures run before the arrival
+            while heap and heap[0][0] <= t_arr and (entry := pop_due(t_arr)) is not None:
+                advance_to(entry.dep)
+                depart(entry)
+                if trace:
+                    emit(entry.dep, entry.cause, CLASS_LABEL[entry.cls])
+            advance_to(t_arr)
+            admitted = admit_or_block(cls, t_arr)
             if trace:
-                emit(entry.dep, entry.cause, CLASS_LABEL[entry.cls])
-        state.advance_to(t_arr)
-        if cls is REG:
-            next_reg = t_arr + reg_stream.draw()
-        else:
-            next_att = t_arr + att_stream.draw()
-        admitted = state.admit_or_block(cls, t_arr)
-        if trace:
-            emit(t_arr, EV_ADMIT if admitted else EV_BLOCK, CLASS_LABEL[cls])
-        arrivals_done += 1
-        horizon = t_arr
+                emit(t_arr, EV_ADMIT if admitted else EV_BLOCK, CLASS_LABEL[cls])
 
-        if arrivals_done % wsize == 0 and len(windows) < n_windows:
-            win_end = state.window_counters()
-            wm = finalize_window(*(e - s for e, s in zip(win_end, win_start)),
-                                 epsilon_floor=config.epsilon_floor)
-            windows.append(wm)
-            win_start = win_end
-            new_params = controller.on_window_end(wm, rng_la)
-            evictions = state.apply_defense_params(new_params, t_arr)
-            if trace and (new_params != params or evictions.regular or evictions.attack):
-                emit(t_arr, EV_PARAMS, "-")
-            params = new_params
-            if len(windows) < n_windows:
-                trajectory.append((len(windows), params))
+        win_end = state.window_counters()
+        wm = finalize_window(*(e - s for e, s in zip(win_end, win_start)),
+                             epsilon_floor=config.epsilon_floor)
+        windows.append(wm)
+        win_start = win_end
+        new_params = controller.on_window_end(wm, rng_la)
+        state.apply_defense_params(new_params, t_arr)
+        if new_params != params and trace:
+            suffix = f"\t{new_params.m}\t{new_params.h!r}\n"
+            emit(t_arr, EV_PARAMS, "-")
+        params = new_params
+        if window < n_windows:
+            trajectory.append((window, params))
+        if trace:
+            trace.write("".join(lines))
+            lines.clear()
 
     # drain all residents after the last arrival
-    while (entry := state.pop_due(_INF)) is not None:
-        state.advance_to(entry.dep)
-        state.depart(entry)
+    while (entry := pop_due(_INF)) is not None:
+        advance_to(entry.dep)
+        depart(entry)
         if trace:
             emit(entry.dep, entry.cause, CLASS_LABEL[entry.cls])
+    if trace:
+        trace.write("".join(lines))
 
     totals = RunTotals(*(dict(zip(RequestClass, pair)) for pair in (
         state.arrivals, state.admitted, state.blocked, state.completed, state.expired,
@@ -346,7 +393,7 @@ def run_simulation(config: SimConfig, controller=None, seed: int | None = None,
         windows=windows,
         param_trajectory=trajectory,
         cumulative=cumulative_metrics(windows, config.epsilon_floor),
-        horizon=horizon,
+        horizon=t_arr,
         seed_echo=seed,
         totals=totals,
     )

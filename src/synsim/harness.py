@@ -357,7 +357,8 @@ def main(argv=None) -> int:
                        help="comma list from erlang,ctmc,sim,ordering,"
                             "determinism ('-only' suffix accepted)")
     p_val.add_argument("--arrivals", type=int, default=1_000_000,
-                       help="arrivals per simulation check")
+                       help="arrivals per simulation check; a multiple of "
+                            "1000, the checks' window size")
 
     args = parser.parse_args(argv)
 

@@ -116,6 +116,7 @@ def _la(**kw):
     (replace(BASE, window_size=500.5), "window_size"),
     (replace(BASE, total_requests=True), "total_requests"),
     (replace(BASE, master_seed=-1), "master_seed"),
+    (replace(BASE, total_requests=5300), "total_requests"),  # 10.6 windows
 ])
 def test_bad_config_rejected_naming_the_field(config, field):
     violations = validate_config(config)
@@ -146,14 +147,14 @@ def test_bad_config_dict_rejected_naming_the_key(doc, key):
     mu=st.floats(0.01, 200.0),
     h=st.floats(0.01, 100.0),
     m=st.integers(1, 64),
-    total=st.integers(1, 2000),
-    window_share=st.floats(0.0, 1.0),
+    window=st.integers(1, 400),
+    n_windows=st.integers(1, 5),
     kind=st.sampled_from(["static", "la"]),
     hold_mode=st.sampled_from(["deterministic", "exponential"]),
 )
-def test_valid_configs_give_meaningful_runs(seed, lambda1, k, mu, h, m, total,
-                                            window_share, kind, hold_mode):
-    window = max(1, int(total * window_share))
+def test_valid_configs_give_meaningful_runs(seed, lambda1, k, mu, h, m, window,
+                                            n_windows, kind, hold_mode):
+    total = window * n_windows
     config = SimConfig(master_seed=seed, traffic=TrafficModel(lambda1, k, mu),
                        total_requests=total, window_size=window,
                        controller_kind=kind, initial_params=DefenseParams(h, m),
@@ -168,6 +169,8 @@ def test_valid_configs_give_meaningful_runs(seed, lambda1, k, mu, h, m, total,
         assert t.admitted[cls] + t.blocked[cls] == t.arrivals[cls]
     assert sum(t.arrivals.values()) == total
     assert sum(t.residents_at_drain.values()) == 0
+    c = report.cumulative
+    assert c.arrivals_regular + c.arrivals_attack == total
     for w in report.windows + [report.cumulative]:
         assert 0.0 <= w.Ploss <= 1.0
         assert all(math.isfinite(x) for x in (w.Pr, w.Pa, w.J))

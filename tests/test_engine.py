@@ -1,11 +1,12 @@
+import hashlib
 import io
 
 import numpy as np
 import pytest
 
 from synsim.domain import DefenseParams, RequestClass, SimConfig, TrafficModel
-from synsim.engine import BacklogState, ConservationError, run_simulation
-from synsim.harness import trace_ordering_ok
+from synsim.engine import BacklogState, ConservationError, _ExpStream, run_simulation
+from synsim.harness import trace_ordering_ok, window_csv
 from synsim.oracle import erlang_b
 
 REG = RequestClass.REGULAR
@@ -96,6 +97,24 @@ def test_advance_to_symmetric_half_occupancy():
     assert state.integral[ATT] == pytest.approx(1.5)
 
 
+# -- arrival sampling --------------------------------------------------------
+
+def test_arrival_times_are_the_running_sum_of_draws():
+    gaps = _ExpStream(np.random.default_rng(7), 3.0, block=4)
+    times = _ExpStream(np.random.default_rng(7), 3.0, block=4).times()
+    t = 0.0
+    for _ in range(4 * 5 + 3):  # across five refills
+        t += gaps.draw()
+        assert next(times) == t  # bit for bit
+
+
+def test_zero_rate_stream_never_fires():
+    stream = _ExpStream(np.random.default_rng(7), 0.0, block=4)
+    assert stream.draw() == np.inf
+    times = stream.times()
+    assert [next(times) for _ in range(10)] == [np.inf] * 10
+
+
 # -- full runs ---------------------------------------------------------------
 
 def cfg(**kw):
@@ -113,12 +132,15 @@ def test_no_attack_stream_means_zero_pa():
 
 
 def test_window_count_and_cumulative_sums():
-    report = run_simulation(cfg(total_requests=5300))
-    assert len(report.windows) == 10  # floor(5300 / 500)
-    assert report.cumulative.arrivals_regular == sum(
-        w.arrivals_regular for w in report.windows)
-    assert report.cumulative.blocked_attack == sum(
-        w.blocked_attack for w in report.windows)
+    # a partial last window would leave its arrivals out of every window
+    with pytest.raises(ValueError, match="total_requests must be a multiple"):
+        run_simulation(cfg(total_requests=5300))
+    report = run_simulation(cfg(total_requests=5000))
+    assert len(report.windows) == 10
+    c = report.cumulative
+    assert c.arrivals_regular == sum(w.arrivals_regular for w in report.windows)
+    assert c.blocked_attack == sum(w.blocked_attack for w in report.windows)
+    assert c.arrivals_regular + c.arrivals_attack == 5000
 
 
 @pytest.mark.parametrize("kind", ["static", "la"])
@@ -182,14 +204,14 @@ def test_event_trace_replays_identically():
 
 def test_event_trace_occupancy_column_replays():
     buf = io.StringIO()
-    # 300 arrivals after the last window boundary leave residents to drain
-    report = run_simulation(cfg(controller_kind="la", total_requests=5300),
-                            event_trace=buf)
+    report = run_simulation(cfg(controller_kind="la"), event_trace=buf)
     step = {"admit": 1, "block": 0, "complete": -1, "expire": -1}
     lines = {kind: 0 for kind in (*step, "params")}
-    count = drops = 0
+    count = drops = drained = 0
     for line in buf.getvalue().splitlines():
         _, kind, _, occupancy, _, _ = line.split("\t")
+        # departures after the last arrival and the last params line
+        drained = drained + 1 if kind in ("complete", "expire") else 0
         occupancy = int(occupancy)
         lines[kind] += 1
         if kind == "params":
@@ -201,8 +223,42 @@ def test_event_trace_occupancy_column_replays():
         count = occupancy
     assert count == 0
     assert drops > 0  # the run does evict, so the params rule is exercised
+    assert drained > 0  # the drain leaves departures to replay
     assert lines["admit"] == sum(report.totals.admitted.values())
     assert lines["complete"] == sum(report.totals.completed.values())
+
+
+# sha256 of the window CSV followed by the event trace.  A change that moves
+# the sample path on purpose records new digests and says so.
+SAMPLE_PATH_SHA256 = {
+    ("static", "deterministic", 0.0):
+        "61afa64674ac5c5ed05a332ee725d7c01f9456ef24b4cc9a673e940f633f3ee8",
+    ("static", "deterministic", 2.0):
+        "d48ff69b8e34af6008c892ce976fd98f7191740fcb7ca826f64eb9a8c8397f4b",
+    ("static", "exponential", 0.0):
+        "758636a3c94deeac3a8f41572f950ed0c81af4054571e09e9c757a3ea57a4797",
+    ("static", "exponential", 2.0):
+        "57b88c1810b62d20d28cf37366a12f3a6c4edfc3e1cd9192d4332f69101041bb",
+    ("la", "deterministic", 0.0):
+        "d9068c7577715f5ab0664e9008123d671a19358e53254104cc66a9735778cabc",
+    ("la", "deterministic", 2.0):
+        "5ba3cb990dc10d535ce9c36b5aa688d93ccd8f8c5d9b373c54ac9e4736569a38",
+    ("la", "exponential", 0.0):
+        "b1c6e87a2a98ec72244e3ac99361f1d42c7ebb70bb2fae6f2af04e48c339339e",
+    ("la", "exponential", 2.0):
+        "74fc90e2bdb451ed04f4454149d3f4ed8b6a5ab9d9f80833ab4a83b18eea40e2",
+}
+
+
+@pytest.mark.parametrize("kind, hold_mode, k", sorted(SAMPLE_PATH_SHA256))
+def test_sample_path_is_pinned(kind, hold_mode, k):
+    config = cfg(master_seed=2024, total_requests=4000, controller_kind=kind,
+                 hold_mode=hold_mode, traffic=TrafficModel(lambda1=10.0, k=k, mu=100.0))
+    buf = io.StringIO()
+    report = run_simulation(config, event_trace=buf)
+    text = window_csv(config, report) + buf.getvalue()
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        SAMPLE_PATH_SHA256[kind, hold_mode, k]
 
 
 def test_ordering_scan_catches_inverted_tie_break():
