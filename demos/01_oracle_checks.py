@@ -1,46 +1,31 @@
-"""Check the simulator against closed-form loss-system results.
+"""Check the simulator against the closed-form loss-system steady state.
 
-With exponential hold times the backlog is a textbook loss system, so we can
-compare simulated blocking against the Erlang-B formula (single class) and a
-small two-class continuous-time Markov chain solved exactly.
+Under a fixed (h, m) the backlog is a two-class Erlang loss system in both
+hold modes, and its steady state depends on each class's mean holding time
+only.  So Ploss = erlang_b(m, a1 + a2), Pr = a1 (1 - B) / m and
+Pa = a2 (1 - B) / m are exact, whether holds are exponential or fixed.
+Each oracle case runs at its full length, as in `synsim validate`.
 """
 
-from synsim.domain import DefenseParams, SimConfig, TrafficModel
 from synsim.engine import run_simulation
-from synsim.oracle import erlang_b, two_class_loss
-
-ARRIVALS = 300_000
+from synsim.oracle import ORACLE_CASES, steady_state
 
 
 def main():
-    print("=== single class vs Erlang-B ===")
-    print("lambda=5, mu=1, m=10, no attack, no timeout")
-    config = SimConfig(master_seed=1, controller_kind="static",
-                       hold_mode="exponential",
-                       traffic=TrafficModel(lambda1=5, k=0.0, mu=1),
-                       total_requests=ARRIVALS, window_size=1000,
-                       initial_params=DefenseParams(1e9, 10))
-    sim = run_simulation(config).cumulative.Ploss
-    exact = erlang_b(10, 5.0)
-    print(f"  simulated Ploss = {sim:.5f}")
-    print(f"  Erlang-B        = {exact:.5f}   (|diff| = {abs(sim - exact):.5f})")
-
-    print()
-    print("=== two classes vs CTMC ===")
-    print("lambda1 = lambda2 = 10, mu=100, m=8, h=0.5")
-    h, mu = 0.5, 100.0
-    config = SimConfig(master_seed=2, controller_kind="static",
-                       hold_mode="exponential",
-                       traffic=TrafficModel(lambda1=10, k=1.0, mu=mu),
-                       total_requests=ARRIVALS, window_size=1000,
-                       initial_params=DefenseParams(h, 8))
-    c = run_simulation(config).cumulative
-    sol = two_class_loss(8, 10.0, 10.0, mu + 1 / h, 1 / h)
-    for name, got, want in [("Ploss", c.Ploss, sol.Ploss),
-                            ("Pr", c.Pr, sol.Pr),
-                            ("Pa", c.Pa, sol.Pa)]:
-        print(f"  {name:5s} simulated {got:.5f}  exact {want:.5f}"
-              f"  (|diff| = {abs(got - want):.5f})")
+    for case in ORACLE_CASES:
+        config = case.config
+        t, p = config.traffic, config.initial_params
+        print(f"=== {case.name} ===")
+        print(f"{config.hold_mode} hold, lambda1={t.lambda1:g}, k={t.k:g}, "
+              f"mu={t.mu:g}, h={p.h:g}, m={p.m}, "
+              f"{config.total_requests} arrivals")
+        got = run_simulation(config).cumulative
+        want = steady_state(config)
+        for name in ("Ploss", "Pr", "Pa"):
+            g, w = getattr(got, name), getattr(want, name)
+            print(f"  {name:5s} simulated {g:.5f}  exact {w:.5f}"
+                  f"  (|diff| = {abs(g - w):.5f}, tolerance {case.tol:g})")
+        print()
 
 
 if __name__ == "__main__":

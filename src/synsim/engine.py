@@ -155,7 +155,6 @@ class SimReport:
     param_trajectory: list[tuple[int, DefenseParams]]
     cumulative: WindowMetrics
     horizon: float
-    seed_echo: int
     totals: RunTotals
 
     @property
@@ -394,6 +393,5 @@ def run_simulation(config: SimConfig, controller=None, seed: int | None = None,
         param_trajectory=trajectory,
         cumulative=cumulative_metrics(windows, config.epsilon_floor),
         horizon=t_arr,
-        seed_echo=seed,
         totals=totals,
     )

@@ -9,15 +9,16 @@ from __future__ import annotations
 
 import argparse
 import io
+import math
 import os
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from . import oracle
 from .controller import LaController, make_controller
-from .domain import (DefenseParams, SimConfig, TrafficModel, load_config,
-                     validate_config)
+from .domain import SimConfig, TrafficModel, load_config, validate_config
 from .engine import run_simulation
 
 WINDOW_COLUMNS = ("window_index", "k", "controller", "h", "m",
@@ -162,19 +163,13 @@ class Check:
     passed: bool
     observed: str
     expected: str
+    seconds: float = 0.0  # wall time spent producing this check
 
 
-def _sim_config(**kwargs) -> SimConfig:
-    defaults = dict(master_seed=20240501, controller_kind="static",
-                    hold_mode="exponential", window_size=1000)
-    defaults.update(kwargs)
-    return SimConfig(**defaults)
-
-
-def _check_close(name: str, observed: float, expected: float, tol: float,
-                 checks: list[Check]) -> None:
-    checks.append(Check(name, abs(observed - expected) <= tol,
-                        f"{observed:.6g}", f"{expected:.6g} ± {tol:g}"))
+def _check_close(name: str, observed: float, expected: float,
+                 tol: float) -> Check:
+    return Check(name, abs(observed - expected) <= tol,
+                 f"{observed:.6g}", f"{expected:.6g} ± {tol:g}")
 
 
 def trace_ordering_ok(trace_text: str) -> bool:
@@ -200,79 +195,45 @@ def trace_ordering_ok(trace_text: str) -> bool:
     return True
 
 
-def _erlang_checks(checks: list[Check]) -> None:
-    _check_close("erlang_b(0, 1) = 1", oracle.erlang_b(0, 1.0), 1.0, 0.0, checks)
-    _check_close("erlang_b(2, 1) = 0.2", oracle.erlang_b(2, 1.0), 0.2, 1e-12, checks)
+def _erlang_checks():
+    yield _check_close("erlang_b(0, 1) = 1", oracle.erlang_b(0, 1.0), 1.0, 0.0)
+    yield _check_close("erlang_b(2, 1) = 0.2", oracle.erlang_b(2, 1.0), 0.2, 1e-12)
     # cross-check recursion against the direct factorial sum
-    import math
     a, m = 5.0, 10
     direct = (a ** m / math.factorial(m)) / sum(a ** n / math.factorial(n)
                                                 for n in range(m + 1))
-    _check_close("erlang_b(10, 5) vs direct sum", oracle.erlang_b(m, a),
-                 direct, 1e-12, checks)
-    _check_close("erlang_b(10, 5) = 0.01838", oracle.erlang_b(10, 5.0),
-                 0.01838, 1e-5, checks)
+    yield _check_close("erlang_b(10, 5) vs direct sum", oracle.erlang_b(m, a),
+                       direct, 1e-12)
+    yield _check_close("erlang_b(10, 5) = 0.01838", oracle.erlang_b(10, 5.0),
+                       0.01838, 1e-5)
 
 
-def _ctmc_checks(checks: list[Check]) -> None:
-    sol = oracle.two_class_loss(1, 1.0, 1.0, 1.0, 1.0)
-    _check_close("ctmc m=1 Ploss = 2/3", sol.Ploss, 2.0 / 3.0, 1e-10, checks)
-    _check_close("ctmc m=1 Pr = 1/3", sol.Pr, 1.0 / 3.0, 1e-10, checks)
-    _check_close("ctmc m=1 Pa = 1/3", sol.Pa, 1.0 / 3.0, 1e-10, checks)
-    single = oracle.two_class_loss(12, 5.0, 0.0, 1.0, 1.0)
-    _check_close("ctmc single-class vs erlang_b", single.Ploss,
-                 oracle.erlang_b(12, 5.0), 1e-9, checks)
-    sym = oracle.two_class_loss(6, 3.0, 3.0, 2.0, 2.0)
-    _check_close("ctmc symmetric Pr = Pa", sym.Pr, sym.Pa, 1e-9, checks)
-    checks.append(Check("ctmc residual <= 1e-10",
-                        sym.residual <= 1e-10, f"{sym.residual:.3g}", "<= 1e-10"))
+def _sim_checks(arrivals: int | None):
+    fields = ("Ploss", "Pr", "Pa")
+    for case in oracle.ORACLE_CASES:
+        config = case.config if arrivals is None else replace(
+            case.config, total_requests=arrivals)
+        got = run_simulation(config).cumulative
+        want = oracle.steady_state(config)
+        yield Check(f"sim {case.name}",
+                    all(abs(getattr(got, f) - getattr(want, f)) <= case.tol
+                        for f in fields),
+                    " ".join(f"{f}={getattr(got, f):.6g}" for f in fields),
+                    " ".join(f"{f}={getattr(want, f):.6g}" for f in fields)
+                    + f" ± {case.tol:g}")
 
 
-def _sim_checks(checks: list[Check], arrivals_single: int,
-                arrivals_two: int) -> None:
-    # single class, huge h: effective departure rate ~ mu, Erlang-B regime
-    cfg = _sim_config(traffic=TrafficModel(lambda1=5.0, k=0.0, mu=1.0),
-                      total_requests=arrivals_single,
-                      initial_params=DefenseParams(1e9, 10))
-    report = run_simulation(cfg)
-    _check_close("sim vs erlang_b(10, 5)", report.cumulative.Ploss,
-                 oracle.erlang_b(10, 5.0), 0.003, checks)
-
-    # symmetric m=1: both classes depart at rate ~ 1
-    cfg = _sim_config(traffic=TrafficModel(lambda1=1.0, k=1.0, mu=1e-9),
-                      total_requests=arrivals_two,
-                      initial_params=DefenseParams(1.0, 1))
-    report = run_simulation(cfg)
-    c = report.cumulative
-    _check_close("sim m=1 Ploss = 2/3", c.Ploss, 2.0 / 3.0, 0.01, checks)
-    _check_close("sim m=1 Pr = 1/3", c.Pr, 1.0 / 3.0, 0.01, checks)
-    _check_close("sim m=1 Pa = 1/3", c.Pa, 1.0 / 3.0, 0.01, checks)
-
-    # two-class m=8 against the dense CTMC solve
-    h = 0.5
-    mu = 100.0
-    sol = oracle.two_class_loss(8, 10.0, 10.0, mu + 1.0 / h, 1.0 / h)
-    cfg = _sim_config(traffic=TrafficModel(lambda1=10.0, k=1.0, mu=mu),
-                      total_requests=arrivals_two,
-                      initial_params=DefenseParams(h, 8))
-    report = run_simulation(cfg)
-    c = report.cumulative
-    _check_close("sim m=8 Ploss vs ctmc", c.Ploss, sol.Ploss, 0.005, checks)
-    _check_close("sim m=8 Pr vs ctmc", c.Pr, sol.Pr, 0.005, checks)
-    _check_close("sim m=8 Pa vs ctmc", c.Pa, sol.Pa, 0.005, checks)
-
-
-def _ordering_check(checks: list[Check]) -> None:
+def _ordering_check():
     cfg = SimConfig(master_seed=7, total_requests=5000, window_size=500,
                     controller_kind="la",
                     traffic=TrafficModel(lambda1=10.0, k=1.0, mu=100.0))
     buf = io.StringIO()
     run_simulation(cfg, event_trace=buf)
-    checks.append(Check("event ordering (departures before arrivals)",
-                        trace_ordering_ok(buf.getvalue()), "trace scan", "ordered"))
+    yield Check("event ordering (departures before arrivals)",
+                trace_ordering_ok(buf.getvalue()), "trace scan", "ordered")
 
 
-def _determinism_check(checks: list[Check]) -> None:
+def _determinism_check():
     cfg = SimConfig(master_seed=11, total_requests=4000, window_size=500,
                     controller_kind="la")
     texts = []
@@ -280,17 +241,19 @@ def _determinism_check(checks: list[Check]) -> None:
         buf = io.StringIO()
         report = run_simulation(cfg, event_trace=buf)
         texts.append(window_csv(cfg, report) + buf.getvalue())
-    checks.append(Check("determinism (repeat run byte-identical)",
-                        texts[0] == texts[1], "2 runs compared", "identical"))
+    yield Check("determinism (repeat run byte-identical)",
+                texts[0] == texts[1], "2 runs compared", "identical")
 
 
-def run_validate(cases: str = "all", arrivals_single: int = 1_000_000,
-                 arrivals_two: int = 1_000_000) -> tuple[list[Check], bool]:
-    """Run the oracle-agreement suite; returns (checks, all_passed)."""
+def run_validate(cases: str = "all",
+                 arrivals: int | None = None) -> tuple[list[Check], bool]:
+    """Run the oracle-agreement suite; returns (checks, all_passed).
+
+    arrivals, if given, replaces the run length of every sim case.
+    """
     groups = {
         "erlang": _erlang_checks,
-        "ctmc": _ctmc_checks,
-        "sim": lambda c: _sim_checks(c, arrivals_single, arrivals_two),
+        "sim": lambda: _sim_checks(arrivals),
         "ordering": _ordering_check,
         "determinism": _determinism_check,
     }
@@ -300,9 +263,13 @@ def run_validate(cases: str = "all", arrivals_single: int = 1_000_000,
     if unknown:
         raise ValueError(f"unknown validation cases: {sorted(unknown)}")
     checks: list[Check] = []
-    for name, fn in groups.items():
+    for name, group in groups.items():
         if name in wanted:
-            fn(checks)
+            start = time.perf_counter()
+            for check in group():
+                now = time.perf_counter()
+                check.seconds, start = now - start, now
+                checks.append(check)
     return checks, all(c.passed for c in checks)
 
 
@@ -354,11 +321,11 @@ def main(argv=None) -> int:
 
     p_val = sub.add_parser("validate", help="oracle-agreement suite")
     p_val.add_argument("--cases", default="all",
-                       help="comma list from erlang,ctmc,sim,ordering,"
-                            "determinism ('-only' suffix accepted)")
-    p_val.add_argument("--arrivals", type=int, default=1_000_000,
-                       help="arrivals per simulation check; a multiple of "
-                            "1000, the checks' window size")
+                       help="comma list from erlang,sim,ordering,determinism "
+                            "('-only' suffix accepted)")
+    p_val.add_argument("--arrivals", type=int,
+                       help="arrivals per sim case (default: each case's "
+                            "own, 1M); a multiple of 1000, the window size")
 
     args = parser.parse_args(argv)
 
@@ -383,12 +350,11 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "validate":
-        checks, ok = run_validate(args.cases, arrivals_single=args.arrivals,
-                                  arrivals_two=args.arrivals)
+        checks, ok = run_validate(args.cases, args.arrivals)
         for c in checks:
             status = "PASS" if c.passed else "FAIL"
             print(f"{status}  {c.name}: observed {c.observed}, "
-                  f"expected {c.expected}")
+                  f"expected {c.expected} [{c.seconds:.3f} s]")
         return 0 if ok else 1
 
     return 2

@@ -1,21 +1,25 @@
 """Closed-form references used to validate the event engine.
 
-erlang_b gives the M/M/m/m blocking probability via the stable recursion.
-two_class_loss solves the exact steady state of the two-class loss system
-with exponential holding at per-entry rates rate1/rate2 and a shared
-capacity m; by PASTA the blocked fraction equals the probability mass on
-full states.  Both are only exact against the engine in its exponential
-hold mode.
+With a static controller the backlog is a two-class Erlang loss system in
+both hold modes: m slots, Poisson arrivals per class, and holding times
+drawn independently of the occupancy.  A regular entry holds min(Exp(mu),
+h) in deterministic mode and min(Exp(mu), Exp(mean h)) in exponential mode;
+an attack entry holds h or Exp(mean h).  The steady state of such a system
+depends on each class's mean holding time only, not on its distribution
+(insensitivity; Sevastyanov 1957, Kelly 1979), so with offered loads
+a_i = lambda_i * E[hold_i] and B = erlang_b(m, a1 + a2) it is exact that
+
+    Ploss = B (by PASTA),  Pr = a1 (1 - B) / m,  Pa = a2 (1 - B) / m
+
+(Pr and Pa are mean occupancies over m, by Little's law).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-import numpy as np
-
-MAX_ORACLE_M = 64
-RESIDUAL_TOL = 1e-10
+from .domain import DefenseParams, SimConfig, TrafficModel
 
 
 def erlang_b(m: int, offered_load: float) -> float:
@@ -34,63 +38,77 @@ def erlang_b(m: int, offered_load: float) -> float:
 
 
 @dataclass(frozen=True)
-class CtmcSolution:
-    """Steady state over occupancy pairs (i regular, j attack), i + j <= m."""
+class LossSteadyState:
+    """Blocked fraction and mean occupancy fraction of each class."""
 
-    pi: dict  # (i, j) -> probability
     Ploss: float
     Pr: float
     Pa: float
-    residual: float
 
 
 def two_class_loss(m: int, lambda1: float, lambda2: float,
-                   rate1: float, rate2: float) -> CtmcSolution:
-    """Exact two-class loss-system steady state by dense linear solve.
+                   rate1: float, rate2: float) -> LossSteadyState:
+    """Steady state of a two-class loss system with m shared slots.
 
-    States are (i, j) with i + j <= m; class-1 arrivals at lambda1 move
-    (i, j) -> (i+1, j), departures at i*rate1 move back, and symmetrically
-    for class 2.  Pr and Pa are the mean occupancy fractions E[i]/m and
-    E[j]/m; Ploss is the total mass where i + j = m.
+    Class i arrives at lambda_i and holds a slot for a mean time 1/rate_i,
+    under any holding-time distribution.
     """
-    if m > MAX_ORACLE_M:
-        raise ValueError("oracle limited to small m")
     if m < 1:
         raise ValueError("m must be at least 1")
-    if rate1 < 0 or rate2 < 0 or rate1 + rate2 <= 0:
-        raise ValueError("departure rates must be non-negative, not both zero")
+    if rate1 <= 0 or rate2 <= 0:
+        raise ValueError("departure rates must be positive")
     if lambda1 < 0 or lambda2 < 0:
         raise ValueError("arrival rates must be non-negative")
+    a1, a2 = lambda1 / rate1, lambda2 / rate2
+    b = erlang_b(m, a1 + a2)
+    return LossSteadyState(Ploss=b, Pr=a1 * (1.0 - b) / m, Pa=a2 * (1.0 - b) / m)
 
-    states = [(i, j) for i in range(m + 1) for j in range(m + 1 - i)]
-    index = {s: n for n, s in enumerate(states)}
-    n_states = len(states)
-    Q = np.zeros((n_states, n_states))
-    for (i, j), n in index.items():
-        if i + j < m:
-            if lambda1 > 0:
-                Q[n, index[(i + 1, j)]] += lambda1
-            if lambda2 > 0:
-                Q[n, index[(i, j + 1)]] += lambda2
-        if i > 0:
-            Q[n, index[(i - 1, j)]] += i * rate1
-        if j > 0:
-            Q[n, index[(i, j - 1)]] += j * rate2
-        Q[n, n] = -Q[n].sum()
 
-    # pi Q = 0 with sum(pi) = 1: replace one balance equation by normalization
-    A = Q.T.copy()
-    A[-1, :] = 1.0
-    rhs = np.zeros(n_states)
-    rhs[-1] = 1.0
-    pi = np.linalg.solve(A, rhs)
-    pi = np.where(np.abs(pi) < 1e-15, 0.0, pi)
-    residual = float(np.abs(pi @ Q).max())
-    if residual > RESIDUAL_TOL:
-        raise ArithmeticError(f"steady-state residual {residual:g} too large")
+def steady_state(config: SimConfig) -> LossSteadyState:
+    """Steady state of config run under its initial (h, m), held fixed."""
+    traffic, params = config.traffic, config.initial_params
+    mu, h = traffic.mu, params.h
+    if config.hold_mode == "deterministic":
+        mean_regular = -math.expm1(-mu * h) / mu  # E[min(Exp(mu), h)]
+    else:
+        mean_regular = h / (mu * h + 1.0)         # E[min(Exp(mu), Exp(1/h))]
+    return two_class_loss(params.m, traffic.lambda1, traffic.lambda2,
+                          1.0 / mean_regular, 1.0 / h)
 
-    ploss = float(sum(pi[n] for (i, j), n in index.items() if i + j == m))
-    pr = float(sum(pi[n] * i for (i, j), n in index.items()) / m)
-    pa = float(sum(pi[n] * j for (i, j), n in index.items()) / m)
-    return CtmcSolution(pi={s: float(pi[n]) for s, n in index.items()},
-                        Ploss=ploss, Pr=pr, Pa=pa, residual=residual)
+
+@dataclass(frozen=True)
+class OracleCase:
+    """A static run whose cumulative Ploss, Pr and Pa must each lie within
+    tol of steady_state(config)."""
+
+    name: str
+    config: SimConfig
+    tol: float
+
+
+def _static(seed: int, hold_mode: str, traffic: TrafficModel,
+            params: DefenseParams) -> SimConfig:
+    return SimConfig(master_seed=seed, controller_kind="static",
+                     hold_mode=hold_mode, traffic=traffic,
+                     total_requests=1_000_000, window_size=1000,
+                     initial_params=params)
+
+
+# The first three rows are acceptance criteria 1-2; tests pin them together.
+ORACLE_CASES = (
+    OracleCase("exponential single class m=10",
+               _static(101, "exponential", TrafficModel(lambda1=5, k=0.0, mu=1),
+                       DefenseParams(1e9, 10)), 0.003),
+    OracleCase("exponential symmetric m=1",
+               _static(102, "exponential", TrafficModel(lambda1=1, k=1.0, mu=1e-9),
+                       DefenseParams(1.0, 1)), 0.01),
+    OracleCase("exponential two-class m=8",
+               _static(103, "exponential", TrafficModel(lambda1=10, k=1.0, mu=100),
+                       DefenseParams(0.5, 8)), 0.005),
+    OracleCase("deterministic h=2 m=16",
+               _static(104, "deterministic", TrafficModel(lambda1=10, k=1.0, mu=1),
+                       DefenseParams(2.0, 16)), 0.005),
+    OracleCase("deterministic h=75 m=1024",
+               _static(105, "deterministic", TrafficModel(lambda1=10, k=2.0, mu=100),
+                       DefenseParams(75.0, 1024)), 0.005),
+)

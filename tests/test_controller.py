@@ -1,14 +1,13 @@
 import itertools
-import math
 
 import numpy as np
 import pytest
 
 from synsim.controller import (LaController, StaticController, feedback_signal,
                                window_score)
-from synsim.domain import DefenseParams, LaSettings
+from synsim.domain import DefenseParams, LaSettings, SimConfig, TrafficModel
 from synsim.metrics import WindowMetrics, objective
-from synsim.oracle import erlang_b
+from synsim.oracle import steady_state
 
 
 def window_with_j(j):
@@ -162,17 +161,15 @@ def test_la_finds_synthetic_optimum():
     assert modal_m_hits >= 30
 
 
-def closed_form_window(h, m, k, lambda1=10.0, mu=100.0, n=500, eps=1e-6):
+def closed_form_window(h, m, k, n=500, eps=1e-6):
     # a window of n arrivals at the Erlang loss steady state of (h, m, k),
     # with the blocked count rounded to whole arrivals
-    a1 = lambda1 * (1.0 - math.exp(-mu * h)) / mu
-    a2 = k * lambda1 * h
-    b = erlang_b(m, a1 + a2)
-    blocked = round(n * b)
+    s = steady_state(SimConfig(master_seed=0, traffic=TrafficModel(k=k),
+                               initial_params=DefenseParams(h, m)))
+    blocked = round(n * s.Ploss)
     ploss = blocked / n
-    pr, pa = a1 * (1.0 - b) / m, a2 * (1.0 - b) / m
-    return WindowMetrics(n, 0, blocked, 0, 0, 0, ploss, pr, pa,
-                         objective(pr, pa, ploss, eps), 1.0)
+    return WindowMetrics(n, 0, blocked, 0, 0, 0, ploss, s.Pr, s.Pa,
+                         objective(s.Pr, s.Pa, ploss, eps), 1.0)
 
 
 def rate_weighted_means(k):
