@@ -11,9 +11,9 @@ the buffer drains below the new cap.
 Bookkeeping keeps one representation per concept.  Every per-class count
 (arrivals, admissions, blocks, completions, expiries, occupancy, the
 normalized occupancy integral) is a [regular, attack] pair indexed by the
-RequestClass int; an entry is resident iff it is in `residents`.  A window's
-metrics are the differences of the running counters, which the state lists
-in finalize_window's argument order.
+RequestClass int; an entry is resident iff it is in the departure heap,
+one item per entry.  A window's metrics are the differences of the running
+counters, which the state lists in finalize_window's argument order.
 
 One master seed derives four independent RNG streams (regular arrivals,
 attack arrivals, entry lifetimes, action selection), so swapping the
@@ -34,7 +34,7 @@ import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 
 import numpy as np
 
@@ -164,7 +164,7 @@ class SimReport:
 
 
 class BacklogState:
-    """Mutable backlog: residents, current (h, m), per-class counts and integrals."""
+    """Mutable backlog: resident heap, (h, m), per-class counts and integrals."""
 
     def __init__(self, params: DefenseParams, hold_mode: str, mu: float,
                  lifetime_rng: np.random.Generator):
@@ -172,10 +172,8 @@ class BacklogState:
         self.exponential_hold = hold_mode == "exponential"
         self.mu = mu
         self.lifetime = _ExpStream(lifetime_rng, 1.0)  # unit-rate draws
-        self.residents: set[_Entry] = set()
         self.clock = 0.0
-        self.heap: list = []
-        self._seq = 0
+        self.heap: list = []  # (dep, admission number, entry), one per resident
         # [regular, attack] pairs
         self.arrivals = [0, 0]
         self.admitted = [0, 0]
@@ -218,19 +216,12 @@ class BacklogState:
         service = _INF if cls else self.lifetime.draw() / self.mu
         hold_unit = self.lifetime.draw() if self.exponential_hold else None
         entry = _Entry(cls, now, service, hold_unit, params.h)
-        self.residents.add(entry)
-        self._seq += 1
-        heappush(self.heap, (entry.dep, self._seq, entry))
+        heappush(self.heap, (entry.dep, self.admitted[0] + self.admitted[1], entry))
         return entry
-
-    def _push(self, entry: _Entry) -> None:
-        self._seq += 1
-        heappush(self.heap, (entry.dep, self._seq, entry))
 
     # -- departures ------------------------------------------------------
 
     def depart(self, entry: _Entry) -> None:
-        self.residents.remove(entry)
         self.occupancy[entry.cls] -= 1
         if entry.cause is EV_COMPLETE:
             self.completed[entry.cls] += 1
@@ -238,38 +229,36 @@ class BacklogState:
             self.expired[entry.cls] += 1
 
     def pop_due(self, until: float) -> _Entry | None:
-        """Pop the next valid departure with dep <= until, skipping stale items."""
+        """Pop the next departure if it is due by until; the top is a resident."""
         heap = self.heap
-        residents = self.residents
-        while heap:
-            dep, _, entry = heap[0]
-            if dep > until:
-                return None
-            heappop(heap)
-            if entry.dep == dep and entry in residents:
-                return entry
+        if heap and heap[0][0] <= until:
+            return heappop(heap)[2]
         return None
 
     # -- parameter changes -----------------------------------------------
 
     def apply_defense_params(self, new: DefenseParams, now: float) -> EvictionSummary:
-        """Install new (h, m).  h is retroactive; m-shrink never evicts."""
+        """Install new (h, m).  h is retroactive; m-shrink never evicts.
+
+        An h change evicts the residents now due and rebuilds the heap in
+        place (the run loop holds it), each item keeping its tiebreak.
+        """
         h_changed = new.h != self.params.h
         self.params = new
         if not h_changed:
             return EvictionSummary()
-        evicted = []
-        for entry in self.residents:
+        counts = [0, 0]
+        kept = []
+        for _, number, entry in self.heap:
             entry.schedule(new.h)
             if entry.dep <= now:
-                evicted.append(entry)
+                entry.cause = EV_EXPIRE
+                self.depart(entry)
+                counts[entry.cls] += 1
             else:
-                self._push(entry)
-        counts = [0, 0]
-        for entry in evicted:
-            entry.cause = EV_EXPIRE
-            self.depart(entry)
-            counts[entry.cls] += 1
+                kept.append((entry.dep, number, entry))
+        heapify(kept)
+        self.heap[:] = kept
         return EvictionSummary(*counts)
 
 
@@ -347,7 +336,8 @@ def run_simulation(config: SimConfig, controller=None, seed: int | None = None,
                 cls = 1
                 next_att = next_att_time()
             # same-time tie: departures run before the arrival
-            while heap and heap[0][0] <= t_arr and (entry := pop_due(t_arr)) is not None:
+            while heap and heap[0][0] <= t_arr:
+                entry = pop_due(t_arr)
                 advance_to(entry.dep)
                 depart(entry)
                 if trace:
@@ -375,7 +365,8 @@ def run_simulation(config: SimConfig, controller=None, seed: int | None = None,
             lines.clear()
 
     # drain all residents after the last arrival
-    while (entry := pop_due(_INF)) is not None:
+    while heap:
+        entry = pop_due(_INF)
         advance_to(entry.dep)
         depart(entry)
         if trace:

@@ -41,7 +41,7 @@ def test_shrunk_capacity_blocks_until_drained():
         state.admit_or_block(ATT, 0.0)
     summary = state.apply_defense_params(DefenseParams(100.0, 64), 1.0)
     assert (summary.regular, summary.attack) == (0, 0)  # shrink never evicts
-    assert len(state.residents) == 130                  # transient overshoot
+    assert len(state.heap) == 130                       # transient overshoot
     assert state.admit_or_block(ATT, 1.0) is None       # still over the new cap
 
 
@@ -51,7 +51,7 @@ def test_identity_param_change_evicts_nothing():
         state.admit_or_block(ATT, 0.0)
     summary = state.apply_defense_params(DefenseParams(75.0, 128), 5.0)
     assert (summary.regular, summary.attack) == (0, 0)
-    assert len(state.residents) == 10
+    assert len(state.heap) == 10
 
 
 def test_retroactive_h_evicts_aged_residents():
@@ -64,8 +64,10 @@ def test_retroactive_h_evicts_aged_residents():
     state.advance_to(80.0)
     summary = state.apply_defense_params(DefenseParams(5.0, 128), 80.0)
     assert summary.attack == 2
-    assert len(state.residents) == 1
-    survivor = next(iter(state.residents))
+    # the heap is exactly the resident set: no stale items are left behind
+    assert len(state.heap) == sum(state.occupancy) == 1
+    dep, _, survivor = state.heap[0]
+    assert dep == survivor.dep
     assert survivor.admit == 78.0 and survivor.dep == pytest.approx(83.0)
 
 
