@@ -353,12 +353,12 @@ def run_simulation(config: SimConfig, controller=None, seed: int | None = None,
         windows.append(wm)
         win_start = win_end
         new_params = controller.on_window_end(wm, rng_la)
-        state.apply_defense_params(new_params, t_arr)
-        if new_params != params and trace:
-            suffix = f"\t{new_params.m}\t{new_params.h!r}\n"
-            emit(t_arr, EV_PARAMS, "-")
-        params = new_params
-        if window < n_windows:
+        if window < n_windows:  # no window follows the last one's params
+            state.apply_defense_params(new_params, t_arr)
+            if new_params != params and trace:
+                suffix = f"\t{new_params.m}\t{new_params.h!r}\n"
+                emit(t_arr, EV_PARAMS, "-")
+            params = new_params
             trajectory.append((window, params))
         if trace:
             trace.write("".join(lines))

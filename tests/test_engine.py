@@ -244,11 +244,11 @@ SAMPLE_PATH_SHA256 = {
     ("la", "deterministic", 0.0):
         "d9068c7577715f5ab0664e9008123d671a19358e53254104cc66a9735778cabc",
     ("la", "deterministic", 2.0):
-        "5ba3cb990dc10d535ce9c36b5aa688d93ccd8f8c5d9b373c54ac9e4736569a38",
+        "5b976784dba4850781bb25211bcdd1ffbce280aa1dbc703db77ab857b448b6fd",
     ("la", "exponential", 0.0):
         "b1c6e87a2a98ec72244e3ac99361f1d42c7ebb70bb2fae6f2af04e48c339339e",
     ("la", "exponential", 2.0):
-        "74fc90e2bdb451ed04f4454149d3f4ed8b6a5ab9d9f80833ab4a83b18eea40e2",
+        "a4663154c903d661384a038543b2bba7236e097a7580ba8a40052b951b555914",
 }
 
 
@@ -262,6 +262,20 @@ def test_sample_path_is_pinned(kind, hold_mode, k):
     assert hashlib.sha256(text.encode()).hexdigest() == \
         SAMPLE_PATH_SHA256[kind, hold_mode, k]
 
+
+def test_no_params_change_after_the_last_window():
+    # the controller's answer to the last window has no window to act on
+    config = cfg(master_seed=2024, total_requests=4000, controller_kind="la",
+                 hold_mode="deterministic",
+                 traffic=TrafficModel(lambda1=10.0, k=2.0, mu=100.0))
+    buf = io.StringIO()
+    report = run_simulation(config, event_trace=buf)
+    rows = [line.split("\t") for line in buf.getvalue().splitlines()]
+    last_arrival = max(i for i, row in enumerate(rows) if row[1] in ("admit", "block"))
+    drain = rows[last_arrival + 1:]
+    assert drain and all(row[1] in ("complete", "expire") for row in drain)
+    _, last = report.param_trajectory[-1]
+    assert {(int(row[4]), float(row[5])) for row in drain} == {(last.m, last.h)}
 
 def test_ordering_scan_catches_inverted_tie_break():
     # arrival before a departure at the same instant must be flagged
