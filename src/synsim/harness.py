@@ -208,13 +208,11 @@ def _erlang_checks():
                        0.01838, 1e-5)
 
 
-def _sim_checks(arrivals: int | None):
+def _sim_checks():
     fields = ("Ploss", "Pr", "Pa")
     for case in oracle.ORACLE_CASES:
-        config = case.config if arrivals is None else replace(
-            case.config, total_requests=arrivals)
-        got = run_simulation(config).cumulative
-        want = oracle.steady_state(config)
+        got = run_simulation(case.config).cumulative
+        want = oracle.steady_state(case.config)
         yield Check(f"sim {case.name}",
                     all(abs(getattr(got, f) - getattr(want, f)) <= case.tol
                         for f in fields),
@@ -245,20 +243,18 @@ def _determinism_check():
                 texts[0] == texts[1], "2 runs compared", "identical")
 
 
-def run_validate(cases: str = "all",
-                 arrivals: int | None = None) -> tuple[list[Check], bool]:
+def run_validate(cases: str = "all") -> tuple[list[Check], bool]:
     """Run the oracle-agreement suite; returns (checks, all_passed).
 
-    arrivals, if given, replaces the run length of every sim case.
+    Each sim case runs at its own length, which its tolerance is set for.
     """
     groups = {
         "erlang": _erlang_checks,
-        "sim": lambda: _sim_checks(arrivals),
+        "sim": _sim_checks,
         "ordering": _ordering_check,
         "determinism": _determinism_check,
     }
-    wanted = set(groups) if cases in ("all", None) else {
-        c.removesuffix("-only") for c in cases.split(",")}
+    wanted = set(groups) if cases in ("all", None) else set(cases.split(","))
     unknown = wanted - set(groups)
     if unknown:
         raise ValueError(f"unknown validation cases: {sorted(unknown)}")
@@ -321,11 +317,8 @@ def main(argv=None) -> int:
 
     p_val = sub.add_parser("validate", help="oracle-agreement suite")
     p_val.add_argument("--cases", default="all",
-                       help="comma list from erlang,sim,ordering,determinism "
-                            "('-only' suffix accepted)")
-    p_val.add_argument("--arrivals", type=int,
-                       help="arrivals per sim case (default: each case's "
-                            "own, 1M); a multiple of 1000, the window size")
+                       help="comma list from erlang,sim,ordering,determinism; "
+                            "sim runs each oracle case at its own 1M arrivals")
 
     args = parser.parse_args(argv)
 
@@ -350,7 +343,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "validate":
-        checks, ok = run_validate(args.cases, args.arrivals)
+        checks, ok = run_validate(args.cases)
         for c in checks:
             status = "PASS" if c.passed else "FAIL"
             print(f"{status}  {c.name}: observed {c.observed}, "

@@ -1,9 +1,11 @@
 import csv
 import io
 import json
+from dataclasses import replace
 
 import pytest
 
+from synsim import oracle
 from synsim.domain import DefenseParams, SimConfig, TrafficModel
 from synsim.harness import (SWEEP_COLUMNS, WINDOW_COLUMNS, SweepSpec, main,
                             run_single, run_sweep, run_validate)
@@ -103,15 +105,18 @@ def test_validate_fast_groups_pass():
     assert all(c.seconds >= 0.0 for c in checks)
 
 
-def test_validate_erlang_only_filter():
-    checks, ok = run_validate("erlang-only")
+def test_validate_erlang_filter():
+    checks, ok = run_validate("erlang")
     assert ok
     assert all("erlang" in c.name for c in checks)
 
 
-def test_validate_sim_runs_every_oracle_case():
-    checks, _ = run_validate("sim", arrivals=1000)
-    assert [c.name for c in checks] == [f"sim {case.name}" for case in ORACLE_CASES]
+def test_validate_sim_runs_every_oracle_case(monkeypatch):
+    short = [replace(case, config=replace(case.config, total_requests=1000))
+             for case in ORACLE_CASES]
+    monkeypatch.setattr(oracle, "ORACLE_CASES", short)
+    checks, _ = run_validate("sim")
+    assert [c.name for c in checks] == [f"sim {case.name}" for case in short]
 
 
 def test_validate_unknown_case_rejected():
@@ -147,7 +152,7 @@ def test_cli_sweep(tmp_path):
 
 
 def test_cli_validate_exit_status(capsys):
-    rc = main(["validate", "--cases", "erlang-only"])
+    rc = main(["validate", "--cases", "erlang"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "PASS" in out
