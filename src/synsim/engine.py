@@ -353,7 +353,7 @@ def run_simulation(config: SimConfig, controller=None, seed: int | None = None,
         windows.append(wm)
         win_start = win_end
         new_params = controller.on_window_end(wm, rng_la)
-        if window < n_windows:  # no window follows the last one's params
+        if window < n_windows:  # no window is left to act on the last answer
             state.apply_defense_params(new_params, t_arr)
             if new_params != params and trace:
                 suffix = f"\t{new_params.m}\t{new_params.h!r}\n"

@@ -318,7 +318,7 @@ def main(argv=None) -> int:
     p_val = sub.add_parser("validate", help="oracle-agreement suite")
     p_val.add_argument("--cases", default="all",
                        help="comma list from erlang,sim,ordering,determinism; "
-                            "sim runs each oracle case at its own 1M arrivals")
+                            "each sim case runs at its own length")
 
     args = parser.parse_args(argv)
 

@@ -277,6 +277,7 @@ def test_no_params_change_after_the_last_window():
     _, last = report.param_trajectory[-1]
     assert {(int(row[4]), float(row[5])) for row in drain} == {(last.m, last.h)}
 
+
 def test_ordering_scan_catches_inverted_tie_break():
     # arrival before a departure at the same instant must be flagged
     bad = ("1.5\tadmit\tregular\t3\t128\t75.0\n"

@@ -105,7 +105,7 @@ def test_validate_fast_groups_pass():
     assert all(c.seconds >= 0.0 for c in checks)
 
 
-def test_validate_erlang_filter():
+def test_validate_erlang_only_filter():
     checks, ok = run_validate("erlang")
     assert ok
     assert all("erlang" in c.name for c in checks)
