@@ -230,37 +230,53 @@ def test_event_trace_occupancy_column_replays():
     assert lines["complete"] == sum(report.totals.completed.values())
 
 
-# sha256 of the window CSV followed by the event trace.  A change that moves
-# the sample path on purpose records new digests and says so.
+# sha256 of the window CSV followed by the event trace, keyed by case id:
+# kind-hold_mode-k, then the case's change to the shared config, if any.  A
+# change that moves the sample path on purpose records new digests and says so.
 SAMPLE_PATH_SHA256 = {
-    ("static", "deterministic", 0.0):
+    "static-deterministic-0.0":
         "61afa64674ac5c5ed05a332ee725d7c01f9456ef24b4cc9a673e940f633f3ee8",
-    ("static", "deterministic", 2.0):
+    "static-deterministic-2.0":
         "d48ff69b8e34af6008c892ce976fd98f7191740fcb7ca826f64eb9a8c8397f4b",
-    ("static", "exponential", 0.0):
+    "static-exponential-0.0":
         "758636a3c94deeac3a8f41572f950ed0c81af4054571e09e9c757a3ea57a4797",
-    ("static", "exponential", 2.0):
+    "static-exponential-2.0":
         "57b88c1810b62d20d28cf37366a12f3a6c4edfc3e1cd9192d4332f69101041bb",
-    ("la", "deterministic", 0.0):
+    "la-deterministic-0.0":
         "d9068c7577715f5ab0664e9008123d671a19358e53254104cc66a9735778cabc",
-    ("la", "deterministic", 2.0):
+    "la-deterministic-2.0":
         "5b976784dba4850781bb25211bcdd1ffbce280aa1dbc703db77ab857b448b6fd",
-    ("la", "exponential", 0.0):
+    "la-exponential-0.0":
         "b1c6e87a2a98ec72244e3ac99361f1d42c7ebb70bb2fae6f2af04e48c339339e",
-    ("la", "exponential", 2.0):
+    "la-exponential-2.0":
         "a4663154c903d661384a038543b2bba7236e097a7580ba8a40052b951b555914",
+    "la-deterministic-2.0-overshoot":
+        "6e3d312c2127fa63f735ad45f100ef12197ee6d57f252e1744ef7d1e4d878b7d",
+    "la-exponential-2.0-window1":
+        "2beec916842a62022138fbbacf03b47c7f4dd1adbaf1e6ddb0d855dc94e049bf",
+}
+CASE_CHANGES = {
+    # m shrinks to 64 with 203 residents: they stay, over the new cap
+    "la-deterministic-2.0-overshoot": dict(master_seed=1),
+    # every arrival is a window, so the controller acts after each one
+    "la-exponential-2.0-window1": dict(window_size=1),
 }
 
 
-@pytest.mark.parametrize("kind, hold_mode, k", sorted(SAMPLE_PATH_SHA256))
-def test_sample_path_is_pinned(kind, hold_mode, k):
-    config = cfg(master_seed=2024, total_requests=4000, controller_kind=kind,
-                 hold_mode=hold_mode, traffic=TrafficModel(lambda1=10.0, k=k, mu=100.0))
+@pytest.mark.parametrize("case", sorted(SAMPLE_PATH_SHA256))
+def test_sample_path_is_pinned(case):
+    kind, hold_mode, k = case.split("-")[:3]
+    config = cfg(**{"master_seed": 2024, "total_requests": 4000, "controller_kind": kind,
+                    "hold_mode": hold_mode,
+                    "traffic": TrafficModel(lambda1=10.0, k=float(k), mu=100.0),
+                    **CASE_CHANGES.get(case, {})})
     buf = io.StringIO()
     report = run_simulation(config, event_trace=buf)
     text = window_csv(config, report) + buf.getvalue()
-    assert hashlib.sha256(text.encode()).hexdigest() == \
-        SAMPLE_PATH_SHA256[kind, hold_mode, k]
+    assert hashlib.sha256(text.encode()).hexdigest() == SAMPLE_PATH_SHA256[case]
+    if case.endswith("overshoot"):
+        rows = [line.split("\t") for line in buf.getvalue().splitlines()]
+        assert any(row[1] == "params" and int(row[3]) > int(row[4]) for row in rows)
 
 
 def test_no_params_change_after_the_last_window():
