@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from synsim.domain import DefenseParams, RequestClass, SimConfig, TrafficModel
-from synsim.engine import BacklogState, ConservationError, _ExpStream, run_simulation
+from synsim.engine import (ADMIT, DEP, EVENT_LABELS, BacklogState, ConservationError,
+                           _ExpStream, _Lifetimes, run_simulation)
 from synsim.harness import trace_ordering_ok, window_csv
 from synsim.oracle import erlang_b
 
@@ -16,6 +17,15 @@ ATT = RequestClass.ATTACK
 def make_state(h=75.0, m=128, hold_mode="deterministic", mu=100.0, seed=0):
     return BacklogState(DefenseParams(h, m), hold_mode, mu,
                         np.random.default_rng(seed))
+
+
+def arrive(state, arrivals):
+    """Offer (class, time) arrivals as one window and settle it, as run_simulation
+    does; returns admit_or_block's answers and the settled events."""
+    outcomes = [state.admit_or_block(cls, t) for cls, t in arrivals]
+    times = np.array([t for _, t in arrivals])
+    classes = np.array([cls for cls, _ in arrivals], np.int8)
+    return outcomes, state.advance_to(times[-1], times, classes, outcomes)
 
 
 # -- backlog mechanics -------------------------------------------------------
@@ -29,74 +39,129 @@ def test_admit_below_capacity():
 
 def test_block_at_capacity():
     state = make_state(m=128)
-    for _ in range(128):
-        state.admit_or_block(ATT, 0.0)
-    assert state.admit_or_block(REG, 0.0) is None
+    outcomes, _ = arrive(state, [(ATT, 0.0)] * 128 + [(REG, 0.0)])
+    assert all(outcomes[:128])
+    assert outcomes[128] is None
     assert state.blocked[REG] == 1
+    assert state.admitted == [0, 128] and state.occupancy == [0, 128]
+
+
+def test_departure_frees_its_slot_for_an_arrival_at_the_same_instant():
+    state = make_state(h=5.0, m=1)
+    just_before = np.nextafter(5.0, 0.0)
+    outcomes, (times, codes, occupancy) = arrive(
+        state, [(ATT, 0.0), (ATT, just_before), (ATT, 5.0)])
+    assert outcomes == [True, None, True]
+    # the departure at 5.0 is settled before the admission at 5.0
+    assert times.tolist() == [0.0, just_before, 5.0, 5.0]
+    assert [EVENT_LABELS[c] for c in codes] == [
+        "admit\tattack", "block\tattack", "expire\tattack", "admit\tattack"]
+    assert occupancy.tolist() == [1, 1, 0, 1]
+
+
+def test_zero_lifetime_leaves_after_its_own_admission():
+    # h under half an ulp of the clock: each entry times out when admitted
+    state = make_state(h=1e-20, m=1)
+    _, (times, codes, occupancy) = arrive(state, [(ATT, 1.0), (ATT, 2.0)])
+    assert times.tolist() == [1.0, 1.0, 2.0]
+    assert [EVENT_LABELS[c] for c in codes] == [
+        "admit\tattack", "expire\tattack", "admit\tattack"]
+    assert occupancy.tolist() == [1, 0, 1]
+    # admitted at the window's last arrival, it leaves in the next window
+    assert sum(state.occupancy) == 1
+    _, (times, _, _) = arrive(state, [(ATT, 3.0)])
+    assert times.tolist() == [2.0, 3.0]
 
 
 def test_shrunk_capacity_blocks_until_drained():
     state = make_state(h=100.0, m=1024)
-    for _ in range(130):
-        state.admit_or_block(ATT, 0.0)
+    arrive(state, [(ATT, 0.0)] * 130)
     summary = state.apply_defense_params(DefenseParams(100.0, 64), 1.0)
     assert (summary.regular, summary.attack) == (0, 0)  # shrink never evicts
-    assert len(state.heap) == 130                       # transient overshoot
+    assert sum(state.occupancy) == 130                  # transient overshoot
+    assert len(state.heap) == 64                        # one free-time per slot
     assert state.admit_or_block(ATT, 1.0) is None       # still over the new cap
+
+
+def test_shrink_admits_after_occupancy_minus_new_cap_plus_one_departures():
+    state = make_state(h=100.0, m=1024)
+    arrive(state, [(ATT, i / 64) for i in range(130)])
+    state.apply_defense_params(DefenseParams(100.0, 64), 3.0)
+    departures = sorted(i / 64 + 100.0 for i in range(130))
+    # 66 departures leave 64 residents: the buffer is still full
+    assert state.admit_or_block(ATT, departures[65]) is None
+    assert state.admit_or_block(ATT, np.nextafter(departures[66], 0.0)) is None
+    # the 67th = 130 - 64 + 1 frees a slot at its own instant
+    assert state.admit_or_block(ATT, departures[66]) is not None
 
 
 def test_identity_param_change_evicts_nothing():
     state = make_state(h=75.0, m=128)
-    for _ in range(10):
-        state.admit_or_block(ATT, 0.0)
+    arrive(state, [(ATT, 0.0)] * 10)
+    heap = list(state.heap)
     summary = state.apply_defense_params(DefenseParams(75.0, 128), 5.0)
     assert (summary.regular, summary.attack) == (0, 0)
-    assert len(state.heap) == 10
+    assert sum(state.occupancy) == 10
+    assert state.heap == heap
 
 
 def test_retroactive_h_evicts_aged_residents():
     state = make_state(h=100.0, m=128)
-    state.admit_or_block(ATT, 0.0)    # age 80 at t=80
-    state.advance_to(70.0)
-    state.admit_or_block(ATT, 70.0)   # age 10
-    state.advance_to(78.0)
-    state.admit_or_block(ATT, 78.0)   # age 2
-    state.advance_to(80.0)
+    # ages 80, 10 and 2 at t=80
+    arrive(state, [(ATT, 0.0), (ATT, 70.0), (ATT, 78.0)])
     summary = state.apply_defense_params(DefenseParams(5.0, 128), 80.0)
     assert summary.attack == 2
-    # the heap is exactly the resident set: no stale items are left behind
-    assert len(state.heap) == sum(state.occupancy) == 1
-    dep, _, survivor = state.heap[0]
-    assert dep == survivor.dep
-    assert survivor.admit == 78.0 and survivor.dep == pytest.approx(83.0)
+    assert state.expired[ATT] == 2 and sum(state.occupancy) == 1
+    # the records and the heap hold the survivor alone, rescheduled under h=5
+    assert state.records[ADMIT].tolist() == [78.0]
+    assert state.records[DEP].tolist() == [83.0]
+    assert sorted(state.heap) == [0.0] * 127 + [83.0]
+
+
+def test_retroactive_eviction_counts_as_an_expiry():
+    state = make_state(h=10.0, m=4, mu=1e30)  # the service time rounds to zero
+    arrive(state, [(REG, 1.0)])  # completes at 1.0, after the window's last arrival
+    summary = state.apply_defense_params(DefenseParams(5.0, 4), 1.0)
+    assert summary.regular == 1
+    assert (state.completed[REG], state.expired[REG]) == (0, 1)
 
 
 def test_capacity_growth_is_eviction_free_and_immediate():
     state = make_state(h=75.0, m=128)
-    for _ in range(128):
-        state.admit_or_block(ATT, 0.0)
+    arrive(state, [(ATT, 0.0)] * 128)
+    assert state.admit_or_block(ATT, 1.0) is None
     summary = state.apply_defense_params(DefenseParams(75.0, 1024), 1.0)
     assert (summary.regular, summary.attack) == (0, 0)
-    assert state.admit_or_block(ATT, 1.0) is not None
+    # every new slot admits at once
+    assert all(state.admit_or_block(ATT, 1.0) for _ in range(1024 - 128))
+    assert state.admit_or_block(ATT, 1.0) is None
 
 
 def test_advance_to_accumulates_normalized_occupancy():
-    state = make_state(m=128)
-    for _ in range(64):
-        state.admit_or_block(REG, 0.0)
-    state.advance_to(2.0)
+    state = make_state(m=128, mu=1e-9)  # no regular entry completes within 75 s
+    arrive(state, [(REG, 0.0)] * 64 + [(ATT, 2.0)])
     assert state.integral[REG] == pytest.approx(1.0)
-    state.advance_to(2.0)  # zero interval: no change
+    arrive(state, [(ATT, 2.0)])  # zero interval: no change
     assert state.integral[REG] == pytest.approx(1.0)
 
 
 def test_advance_to_symmetric_half_occupancy():
-    state = make_state(m=2, h=100.0)
-    state.admit_or_block(REG, 0.0)
-    state.admit_or_block(ATT, 0.0)
-    state.advance_to(3.0)
+    state = make_state(m=2, h=100.0, mu=1e-9)
+    outcomes, _ = arrive(state, [(REG, 0.0), (ATT, 0.0), (ATT, 3.0)])
+    assert outcomes[2] is None
     assert state.integral[REG] == pytest.approx(1.5)
     assert state.integral[ATT] == pytest.approx(1.5)
+
+
+def test_drain_settles_every_resident():
+    state = make_state(h=10.0, m=8)
+    arrive(state, [(ATT, 0.0), (REG, 1.0), (ATT, 2.0)])
+    times, codes, occupancy = state.advance_to(np.inf)
+    assert times.tolist() == sorted(times.tolist()) and len(times) == 2
+    assert occupancy.tolist() == [1, 0]
+    assert state.occupancy == [0, 0] and state.records.shape == (6, 0)
+    assert state.completed[REG] + state.expired[REG] == 1
+    assert state.expired[ATT] == 2
 
 
 # -- arrival sampling --------------------------------------------------------
@@ -105,16 +170,28 @@ def test_arrival_times_are_the_running_sum_of_draws():
     gaps = _ExpStream(np.random.default_rng(7), 3.0, block=4)
     times = _ExpStream(np.random.default_rng(7), 3.0, block=4).times()
     t = 0.0
-    for _ in range(4 * 5 + 3):  # across five refills
-        t += gaps.draw()
-        assert next(times) == t  # bit for bit
+    for _ in range(6):  # across five refills
+        for gap, time in zip(gaps.draw().tolist(), next(times).tolist(), strict=True):
+            t += gap
+            assert time == t  # bit for bit
 
 
 def test_zero_rate_stream_never_fires():
     stream = _ExpStream(np.random.default_rng(7), 0.0, block=4)
-    assert stream.draw() == np.inf
+    assert stream.draw().tolist() == [np.inf] * 4
     times = stream.times()
-    assert [next(times) for _ in range(10)] == [np.inf] * 10
+    assert [x for _ in range(3) for x in next(times).tolist()] == [np.inf] * 12
+
+
+def test_lifetimes_settle_the_values_read_in_order():
+    lifetimes = _Lifetimes(np.random.default_rng(7))
+    reference = _ExpStream(np.random.default_rng(7), 1.0)
+    expected = np.concatenate([reference.draw() for _ in range(3)]).tolist()
+    read = [lifetimes.next() for _ in range(3)]
+    assert lifetimes.settled(3).tolist() == read == expected[:3]
+    assert lifetimes.settled(0).tolist() == []
+    read = [lifetimes.next() for _ in range(2 * 8192)]  # across two refills
+    assert lifetimes.settled(2 * 8192).tolist() == read == expected[3:3 + 2 * 8192]
 
 
 # -- full runs ---------------------------------------------------------------
