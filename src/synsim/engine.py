@@ -120,15 +120,19 @@ class _Lifetimes:
     admission (next), then as an array when the window settles (settled)."""
 
     def __init__(self, rng: np.random.Generator):
-        self.stream = _ExpStream(rng, 1.0)
+        stream = _ExpStream(rng, 1.0)
         self.blocks: list[np.ndarray] = []  # drawn blocks not wholly settled
         self.start = 0  # the first unsettled value in blocks[0]
-        self.next = itertools.chain.from_iterable(iter(self._draw, None)).__next__
+        blocks = self.blocks
 
-    def _draw(self) -> list[float]:
-        block = self.stream.draw()
-        self.blocks.append(block)
-        return block.tolist()
+        def draw() -> list[float]:
+            # a closure, not a method: a reference back to self would make a
+            # cycle that keeps a block alive until the cyclic collector runs
+            block = stream.draw()
+            blocks.append(block)
+            return block.tolist()
+
+        self.next = itertools.chain.from_iterable(iter(draw, None)).__next__
 
     def settled(self, n: int) -> np.ndarray:
         """The next n values, which next() has already read."""

@@ -1,5 +1,8 @@
 import hashlib
 import io
+import itertools
+import math
+from heapq import heapify, heappop, heappush
 
 import numpy as np
 import pytest
@@ -162,6 +165,111 @@ def test_drain_settles_every_resident():
     assert state.occupancy == [0, 0] and state.records.shape == (6, 0)
     assert state.completed[REG] + state.expired[REG] == 1
     assert state.expired[ATT] == 2
+
+
+def reference_loop(windows, params, hold_mode, mu, seed):
+    """The per-event loop the slot heap replaced: a heap of departures, each
+    taken out, in (time, admission number) order, before the first arrival
+    not earlier than it.  Returns the same observables as kernel_run."""
+    stream = _ExpStream(np.random.default_rng(seed), 1.0)
+    lifetimes = itertools.chain.from_iterable(stream.draw().tolist()
+                                              for _ in itertools.count())
+    heap, trace, integrals, evictions = [], [], [], []
+    occupancy, integral, clock = [0, 0], [0.0, 0.0], 0.0
+    counts = {kind: [0, 0] for kind in ("blocked", "completed", "expired")}
+
+    def advance(t):
+        nonlocal clock
+        dt = t - clock
+        if dt > 0.0:
+            for cls in (0, 1):
+                integral[cls] += dt * occupancy[cls] / params.m
+        clock = t
+
+    def schedule(admit, service, hold_unit, h):
+        completion, timeout = admit + service, admit + hold_unit * h
+        return (completion, 2) if completion < timeout else (timeout, 3)
+
+    def depart(item, kind):
+        occupancy[item[2]] -= 1
+        counts["completed" if kind == 2 else "expired"][item[2]] += 1
+
+    def pop_until(t):
+        while heap and heap[0][0] <= t:
+            item = heappop(heap)
+            advance(item[0])
+            depart(item, item[3])
+            trace.append((item[0], 2 * item[3] + item[2], sum(occupancy)))
+
+    number = 0
+    for times, classes, new in windows:
+        for t, cls in zip(times.tolist(), classes.tolist()):
+            pop_until(t)
+            advance(t)
+            if sum(occupancy) < params.m:
+                service = math.inf if cls else next(lifetimes) / mu
+                hold_unit = next(lifetimes) if hold_mode == "exponential" else 1.0
+                dep, kind = schedule(t, service, hold_unit, params.h)
+                heappush(heap, (dep, number, cls, kind, t, service, hold_unit))
+                number += 1
+                occupancy[cls] += 1
+                trace.append((t, cls, sum(occupancy)))
+            else:
+                counts["blocked"][cls] += 1
+                trace.append((t, 2 + cls, sum(occupancy)))
+        integrals.append(list(integral))
+        evicted = [0, 0]
+        if new.h != params.h:
+            kept = []
+            for item in heap:
+                dep, kind = schedule(*item[4:], new.h)
+                if dep <= t:
+                    depart(item, 3)
+                    evicted[item[2]] += 1
+                else:
+                    kept.append((dep, item[1], item[2], kind, *item[4:]))
+            heap[:] = kept
+            heapify(heap)
+        params = new
+        evictions.append(evicted)
+    pop_until(math.inf)
+    integrals.append(list(integral))
+    return trace, integrals, evictions, counts, occupancy
+
+
+def kernel_run(windows, params, hold_mode, mu, seed):
+    state = make_state(params.h, params.m, hold_mode, mu, seed)
+    trace, integrals, evictions = [], [], []
+    for times, classes, new in windows:
+        _, events = arrive(state, list(zip(classes.tolist(), times.tolist())))
+        trace += zip(*(x.tolist() for x in events))
+        integrals.append(list(state.integral))
+        summary = state.apply_defense_params(new, float(times[-1]))
+        evictions.append([summary.regular, summary.attack])
+    trace += zip(*(x.tolist() for x in state.advance_to(np.inf)))
+    integrals.append(list(state.integral))
+    counts = {"blocked": state.blocked, "completed": state.completed,
+              "expired": state.expired}
+    return trace, integrals, evictions, counts, state.occupancy
+
+
+@pytest.mark.parametrize("hold_mode", ["deterministic", "exponential"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_kernel_matches_the_per_event_reference_loop(hold_mode, seed):
+    # arrivals on a quarter-second grid, with ties, and hold times on the
+    # same grid, so departures and arrivals often share an instant
+    rng = np.random.default_rng(seed)
+    times = np.cumsum(rng.integers(0, 3, 3000)) / 4
+    classes = rng.integers(0, 2, 3000).astype(np.int8)
+    cuts = np.sort(rng.choice(np.arange(1, 3000), 60, replace=False))
+    grid = [DefenseParams(h, m) for h in (0.5, 1.0, 2.5) for m in (1, 2, 5, 8)]
+    windows = [(t, c, grid[rng.integers(len(grid))])
+               for t, c in zip(np.split(times, cuts), np.split(classes, cuts))]
+    args = (windows, grid[0], hold_mode, 2.0, seed)
+    reference = reference_loop(*args)
+    assert kernel_run(*args) == reference
+    trace, _, evictions, _, _ = reference
+    assert len(trace) > 3000 and sum(map(sum, evictions)) > 0
 
 
 # -- arrival sampling --------------------------------------------------------
