@@ -71,15 +71,9 @@ _INF = math.inf
 REG = RequestClass.REGULAR
 CLASS_LABEL = tuple(cls.name.lower() for cls in RequestClass)  # event-trace text
 
-# event-kind labels used in traces
-EV_ADMIT = "admit"
-EV_BLOCK = "block"
-EV_COMPLETE = "complete"
-EV_EXPIRE = "expire"
-EV_PARAMS = "params"
-# kind and class columns of an event-trace line, indexed by 2 * kind + class
-EVENT_LABELS = tuple(f"{kind}\t{label}" for kind in (EV_ADMIT, EV_BLOCK, EV_COMPLETE,
-                                                      EV_EXPIRE) for label in CLASS_LABEL)
+# the kind and class columns of an event-trace line, indexed by 2 * kind + class
+EVENT_LABELS = tuple(f"{kind}\t{label}" for kind in ("admit", "block", "complete", "expire")
+                     for label in CLASS_LABEL)
 
 # columns of a resident record; COMPLETE is 1.0 when the entry will complete
 ADMIT, CLS, SERVICE, HOLD_UNIT, DEP, COMPLETE = range(6)
@@ -121,9 +115,8 @@ class _Lifetimes:
 
     def __init__(self, rng: np.random.Generator):
         stream = _ExpStream(rng, 1.0)
-        self.blocks: list[np.ndarray] = []  # drawn blocks not wholly settled
+        self.blocks = blocks = []  # drawn blocks not wholly settled
         self.start = 0  # the first unsettled value in blocks[0]
-        blocks = self.blocks
 
         def draw() -> list[float]:
             # a closure, not a method: a reference back to self would make a
@@ -145,6 +138,12 @@ class _Lifetimes:
         self.start += n - (len(drawn) - len(blocks[-1]))
         del blocks[:-1]
         return values
+
+
+def _per_class(classes: np.ndarray) -> list[int]:
+    """How many of the classes (0 regular, 1 attack) are of each class."""
+    n_attack = int(np.count_nonzero(classes))
+    return [len(classes) - n_attack, n_attack]
 
 
 class _Arrivals:
@@ -170,16 +169,10 @@ class _Arrivals:
         both = np.concatenate((self._head(0, n), self._head(1, n)))
         order = np.argsort(both, kind="stable")[:n]  # stable: regular first on a tie
         classes = (order >= n).view(np.int8)
-        n_attack = int(np.count_nonzero(classes))
-        self.unread[0] = self.unread[0][n - n_attack:]
+        n_regular, n_attack = _per_class(classes)
+        self.unread[0] = self.unread[0][n_regular:]
         self.unread[1] = self.unread[1][n_attack:]
         return both[order], classes
-
-
-def _per_class(classes: np.ndarray) -> list[int]:
-    """How many of the classes (0 regular, 1 attack) are of each class."""
-    n_attack = int(np.count_nonzero(classes))
-    return [len(classes) - n_attack, n_attack]
 
 
 def _schedule(records: np.ndarray, h: float) -> None:
@@ -473,7 +466,7 @@ def run_simulation(config: SimConfig, controller=None, seed: int | None = None,
             state.apply_defense_params(new_params, t_last)
             if new_params != params and trace:
                 suffix = f"\t{new_params.m}\t{new_params.h!r}\n"
-                lines.append(f"{t_last!r}\t{EV_PARAMS}\t-\t{sum(state.occupancy)}{suffix}")
+                lines.append(f"{t_last!r}\tparams\t-\t{sum(state.occupancy)}{suffix}")
             params = new_params
             trajectory.append((window, params))
         if trace:
