@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from synsim.domain import DefenseParams, RequestClass, SimConfig, TrafficModel
-from synsim.engine import (ADMIT, DEP, EVENT_LABELS, BacklogState, ConservationError,
-                           _ExpStream, _Lifetimes, run_simulation)
+from synsim.engine import (ADMIT, DEP, EVENT_LABELS, BacklogState, _ExpStream, _Lifetimes,
+                           run_simulation)
 from synsim.harness import trace_ordering_ok, window_csv
 from synsim.oracle import erlang_b
 
