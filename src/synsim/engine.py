@@ -10,7 +10,11 @@ the buffer drains below the new cap.
 
 One master seed derives four independent RNG streams (regular arrivals,
 attack arrivals, entry lifetimes, action selection), so swapping the
-controller never perturbs the traffic sample path.
+controller never perturbs the traffic sample path.  Lifetimes are drawn by
+arrival, not by admission: every arrival of a window gets a service unit and
+a hold unit from one (2, n) draw, whatever its class or outcome.  Two runs of
+one seed with different controllers therefore give every arrival the same
+lifetimes, so a static and an adaptive cell differ only by (h, m).
 
 Admission: the slot heap.  Whether an arrival at t is admitted depends
 only on how many residents are still there at t, so the state keeps a
@@ -21,12 +25,14 @@ then admit iff occupancy < m", tie included: the heap holds the departure
 of every resident still there at t plus values <= t, so its minimum is
 above t exactly when m residents are still there.  After an m shrink below
 the occupancy, the heap holds the m latest departures, so admission waits
-for occupancy - m + 1 departures.  The run loop makes one call per arrival,
-admit_or_block, which draws the entry's lifetimes and pushes its departure
-time; nothing else runs per arrival.
+for occupancy - m + 1 departures.  h is constant within a window, so each
+arrival's departure time, were it admitted, is computed for the whole window
+in numpy (offered) before admission runs.  The run loop then makes one call
+per arrival, admit_or_block: one compare and, on admission, one heapreplace;
+nothing else runs per arrival.
 
-Departures: the settle.  Once per window, advance_to records the window's
-admitted entries from the same lifetime draws, takes out the departures due
+Departures: the settle.  Once per window, advance_to keeps the admitted
+columns of the offered records as new residents, takes out the departures due
 by the window's last arrival, in (time, admission number) order, and merges
 them into the window's arrivals: each departure goes just before the first
 arrival that follows its admission and is not earlier than it, so a
@@ -55,7 +61,6 @@ lands in one.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -109,37 +114,6 @@ class _ExpStream:
             t = block[-1]
 
 
-class _Lifetimes:
-    """Unit-rate lifetime draws, read twice: one by one as Python floats on
-    admission (next), then as an array when the window settles (settled)."""
-
-    def __init__(self, rng: np.random.Generator):
-        stream = _ExpStream(rng, 1.0)
-        self.blocks = blocks = []  # drawn blocks not wholly settled
-        self.start = 0  # the first unsettled value in blocks[0]
-
-        def draw() -> list[float]:
-            # a closure, not a method: a reference back to self would make a
-            # cycle that keeps a block alive until the cyclic collector runs
-            block = stream.draw()
-            blocks.append(block)
-            return block.tolist()
-
-        self.next = itertools.chain.from_iterable(iter(draw, None)).__next__
-
-    def settled(self, n: int) -> np.ndarray:
-        """The next n values, which next() has already read."""
-        if not n:
-            return np.empty(0)
-        blocks = self.blocks
-        drawn = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-        values = drawn[self.start:self.start + n]
-        # next() reads past a block only when it needs a value from the next
-        self.start += n - (len(drawn) - len(blocks[-1]))
-        del blocks[:-1]
-        return values
-
-
 def _per_class(classes: np.ndarray) -> list[int]:
     """How many of the classes (0 regular, 1 attack) are of each class."""
     n_attack = int(np.count_nonzero(classes))
@@ -176,11 +150,7 @@ class _Arrivals:
 
 
 def _schedule(records: np.ndarray, h: float) -> None:
-    """Set each record's departure time and cause under hold time h.
-
-    These are admit_or_block's float expressions, so a record scheduled
-    here leaves exactly when the slot heap says.
-    """
+    """Set each record's departure time and cause under hold time h."""
     admit = records[ADMIT]
     completion = admit + records[SERVICE]
     timeout = admit + records[HOLD_UNIT] * h
@@ -228,7 +198,7 @@ class BacklogState:
         self.params = params
         self.exponential_hold = hold_mode == "exponential"
         self.mu = mu
-        self.lifetimes = _Lifetimes(lifetime_rng)
+        self.lifetime_rng = lifetime_rng
         self.clock = 0.0
         self.heap = [0.0] * params.m  # slot free-times; 0.0 is a slot never used
         self.records = np.empty((6, 0))  # a column per resident, in admission order
@@ -248,45 +218,33 @@ class BacklogState:
 
     # -- admissions ------------------------------------------------------
 
-    def admit_or_block(self, cls: int, now: float) -> bool | None:
+    def offered(self, times: np.ndarray, classes: np.ndarray) -> np.ndarray:
+        """Records of a window's arrivals, each scheduled as if admitted now.
+
+        Every arrival gets a service unit and a hold unit, drawn in one
+        (2, n) block whatever its class, hold mode or outcome; an attack
+        entry's service is inf, and in deterministic mode the hold unit is 1.
+        """
+        units = self.lifetime_rng.standard_exponential((2, len(times)))
+        records = np.empty((6, len(times)))
+        records[ADMIT] = times
+        records[CLS] = classes
+        records[SERVICE] = np.where(classes == 0, units[0] / self.mu, _INF)
+        records[HOLD_UNIT] = units[1] if self.exponential_hold else 1.0  # 1.0 * h == h
+        _schedule(records, self.params.h)
+        return records
+
+    def admit_or_block(self, dep: float, now: float) -> bool | None:
         """Admit iff a slot is free at now: True if admitted, None if blocked.
 
-        An admission draws a regular entry's service time, then, in
-        exponential mode, the hold unit.  The arrival is counted and its entry
-        recorded when its window settles.
+        dep is the arrival's departure time from offered; the arrival is
+        counted and its entry recorded when its window settles.
         """
         heap = self.heap
         if heap[0] > now:
             return None
-        lifetime = self.lifetimes.next
-        service = _INF if cls else lifetime() / self.mu
-        hold_unit = lifetime() if self.exponential_hold else 1.0  # 1.0 * h == h
-        completion = now + service
-        timeout = now + hold_unit * self.params.h
-        heapreplace(heap, completion if completion < timeout else timeout)
+        heapreplace(heap, dep)
         return True
-
-    def _record(self, times: np.ndarray, classes: np.ndarray) -> None:
-        """Add the entries admitted at times to the residents.
-
-        Their lifetimes are the draws admit_or_block read, in its order.
-        """
-        regular = classes == 0
-        draws = regular + np.intp(self.exponential_hold)  # lifetime draws per admission
-        first = np.cumsum(draws) - draws
-        lifetimes = self.lifetimes.settled(int(draws.sum()))
-        new = np.empty((6, len(times)))
-        new[ADMIT] = times
-        new[CLS] = classes
-        new[SERVICE] = _INF
-        new[SERVICE, regular] = lifetimes[first[regular]] / self.mu
-        new[HOLD_UNIT] = lifetimes[first + regular] if self.exponential_hold else 1.0
-        _schedule(new, self.params.h)
-        self.records = np.concatenate((self.records, new), axis=1)
-        admitted = _per_class(classes)
-        for cls in (0, 1):
-            self.admitted[cls] += admitted[cls]
-            self.occupancy[cls] += admitted[cls]
 
     # -- departures ------------------------------------------------------
 
@@ -314,25 +272,27 @@ class BacklogState:
 
     # -- time ------------------------------------------------------------
 
-    def advance_to(self, until: float, times: np.ndarray = np.empty(0),
-                   classes: np.ndarray = np.empty(0, np.int8),
+    def advance_to(self, until: float, offered: np.ndarray = np.empty((6, 0)),
                    outcomes: list = ()) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Settle the window whose last arrival is at until; until=inf drains.
 
-        times, classes and outcomes (admit_or_block's answers) are the
-        window's arrivals.  Counts them, records the admitted entries, takes
-        out the departures due and integrates occupancy / m up to the last
-        event.  Returns the events in order: their times, their codes
-        (2 * kind + class; kind 0-3 is admit, block, complete, expire) and
-        the occupancy after each.
+        offered (the window's records) and outcomes (admit_or_block's
+        answers) are the window's arrivals.  Counts them, keeps the admitted
+        records as residents, takes out the departures due and integrates
+        occupancy / m up to the last event.  Returns the events in order:
+        their times, their codes (2 * kind + class; kind 0-3 is admit, block,
+        complete, expire) and the occupancy after each.
         """
+        times, classes = offered[ADMIT], offered[CLS]
         admitted = np.fromiter(outcomes, bool, len(times))  # None, a block, is False
-        arrivals, blocked = _per_class(classes), _per_class(classes[~admitted])
+        start = np.array(self.occupancy, dtype=float)
+        arrivals, admits = _per_class(classes), _per_class(classes[admitted])
         for cls in (0, 1):
             self.arrivals[cls] += arrivals[cls]
-            self.blocked[cls] += blocked[cls]
-        start = np.array(self.occupancy, dtype=float)
-        self._record(times[admitted], classes[admitted])
+            self.admitted[cls] += admits[cls]
+            self.blocked[cls] += arrivals[cls] - admits[cls]
+            self.occupancy[cls] += admits[cls]
+        self.records = np.concatenate((self.records, offered[:, admitted]), axis=1)
         due = self.pop_due(until)
         self.depart(due)
 
@@ -450,9 +410,10 @@ def run_simulation(config: SimConfig, controller=None, seed: int | None = None,
 
     for window in range(1, n_windows + 1):
         times, classes = arrivals.take(wsize)
-        outcomes = list(map(admit_or_block, classes.tolist(), times.tolist()))
+        offered = state.offered(times, classes)
+        outcomes = list(map(admit_or_block, offered[DEP].tolist(), times.tolist()))
         t_last = float(times[-1])
-        events = advance_to(t_last, times, classes, outcomes)
+        events = advance_to(t_last, offered, outcomes)
         if trace:
             lines += _trace_lines(*events, suffix)
 

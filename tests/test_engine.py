@@ -1,6 +1,5 @@
 import hashlib
 import io
-import itertools
 import math
 from heapq import heapify, heappop, heappush
 
@@ -8,8 +7,8 @@ import numpy as np
 import pytest
 
 from synsim.domain import DefenseParams, RequestClass, SimConfig, TrafficModel
-from synsim.engine import (ADMIT, DEP, EVENT_LABELS, BacklogState, _ExpStream, _Lifetimes,
-                           run_simulation)
+from synsim.engine import (ADMIT, DEP, EVENT_LABELS, HOLD_UNIT, SERVICE, BacklogState,
+                           _ExpStream, run_simulation)
 from synsim.harness import trace_ordering_ok, window_csv
 from synsim.oracle import erlang_b
 
@@ -22,13 +21,25 @@ def make_state(h=75.0, m=128, hold_mode="deterministic", mu=100.0, seed=0):
                         np.random.default_rng(seed))
 
 
+def offer(state, times, classes):
+    """Offer one window of arrivals, as run_simulation does; returns the
+    offered records and admit_or_block's answers, not yet settled."""
+    offered = state.offered(times, classes)
+    return offered, list(map(state.admit_or_block, offered[DEP].tolist(), times.tolist()))
+
+
 def arrive(state, arrivals):
-    """Offer (class, time) arrivals as one window and settle it, as run_simulation
-    does; returns admit_or_block's answers and the settled events."""
-    outcomes = [state.admit_or_block(cls, t) for cls, t in arrivals]
+    """Offer (class, time) arrivals as one window and settle it; returns
+    admit_or_block's answers and the settled events."""
     times = np.array([t for _, t in arrivals])
     classes = np.array([cls for cls, _ in arrivals], np.int8)
-    return outcomes, state.advance_to(times[-1], times, classes, outcomes)
+    offered, outcomes = offer(state, times, classes)
+    return outcomes, state.advance_to(times[-1], offered, outcomes)
+
+
+def admit(state, cls, t):
+    """Offer one arrival at t without settling it; admit_or_block's answer."""
+    return offer(state, np.array([t]), np.array([cls], np.int8))[1][0]
 
 
 # -- backlog mechanics -------------------------------------------------------
@@ -36,8 +47,8 @@ def arrive(state, arrivals):
 def test_admit_below_capacity():
     state = make_state(m=128)
     for i in range(127):
-        assert state.admit_or_block(ATT, 0.0) is not None
-    assert state.admit_or_block(REG, 0.0) is not None
+        assert admit(state, ATT, 0.0) is not None
+    assert admit(state, REG, 0.0) is not None
 
 
 def test_block_at_capacity():
@@ -83,7 +94,7 @@ def test_shrunk_capacity_blocks_until_drained():
     assert (summary.regular, summary.attack) == (0, 0)  # shrink never evicts
     assert sum(state.occupancy) == 130                  # transient overshoot
     assert len(state.heap) == 64                        # one free-time per slot
-    assert state.admit_or_block(ATT, 1.0) is None       # still over the new cap
+    assert admit(state, ATT, 1.0) is None               # still over the new cap
 
 
 def test_shrink_admits_after_occupancy_minus_new_cap_plus_one_departures():
@@ -92,10 +103,10 @@ def test_shrink_admits_after_occupancy_minus_new_cap_plus_one_departures():
     state.apply_defense_params(DefenseParams(100.0, 64), 3.0)
     departures = sorted(i / 64 + 100.0 for i in range(130))
     # 66 departures leave 64 residents: the buffer is still full
-    assert state.admit_or_block(ATT, departures[65]) is None
-    assert state.admit_or_block(ATT, np.nextafter(departures[66], 0.0)) is None
+    assert admit(state, ATT, departures[65]) is None
+    assert admit(state, ATT, np.nextafter(departures[66], 0.0)) is None
     # the 67th = 130 - 64 + 1 frees a slot at its own instant
-    assert state.admit_or_block(ATT, departures[66]) is not None
+    assert admit(state, ATT, departures[66]) is not None
 
 
 def test_identity_param_change_evicts_nothing():
@@ -132,12 +143,12 @@ def test_retroactive_eviction_counts_as_an_expiry():
 def test_capacity_growth_is_eviction_free_and_immediate():
     state = make_state(h=75.0, m=128)
     arrive(state, [(ATT, 0.0)] * 128)
-    assert state.admit_or_block(ATT, 1.0) is None
+    assert admit(state, ATT, 1.0) is None
     summary = state.apply_defense_params(DefenseParams(75.0, 1024), 1.0)
     assert (summary.regular, summary.attack) == (0, 0)
     # every new slot admits at once
-    assert all(state.admit_or_block(ATT, 1.0) for _ in range(1024 - 128))
-    assert state.admit_or_block(ATT, 1.0) is None
+    assert all(admit(state, ATT, 1.0) for _ in range(1024 - 128))
+    assert admit(state, ATT, 1.0) is None
 
 
 def test_advance_to_accumulates_normalized_occupancy():
@@ -170,10 +181,10 @@ def test_drain_settles_every_resident():
 def reference_loop(windows, params, hold_mode, mu, seed):
     """The per-event loop the slot heap replaced: a heap of departures, each
     taken out, in (time, admission number) order, before the first arrival
-    not earlier than it.  Returns the same observables as kernel_run."""
-    stream = _ExpStream(np.random.default_rng(seed), 1.0)
-    lifetimes = itertools.chain.from_iterable(stream.draw().tolist()
-                                              for _ in itertools.count())
+    not earlier than it.  Arrival i of a window takes its service and hold
+    units from column i of one (2, n) draw per window, admitted or not.
+    Returns the same observables as kernel_run."""
+    rng = np.random.default_rng(seed)
     heap, trace, integrals, evictions = [], [], [], []
     occupancy, integral, clock = [0, 0], [0.0, 0.0], 0.0
     counts = {kind: [0, 0] for kind in ("blocked", "completed", "expired")}
@@ -203,12 +214,13 @@ def reference_loop(windows, params, hold_mode, mu, seed):
 
     number = 0
     for times, classes, new in windows:
-        for t, cls in zip(times.tolist(), classes.tolist()):
+        units = rng.standard_exponential((2, len(times))).tolist()
+        for t, cls, service_unit, hold_unit in zip(times.tolist(), classes.tolist(), *units):
             pop_until(t)
             advance(t)
             if sum(occupancy) < params.m:
-                service = math.inf if cls else next(lifetimes) / mu
-                hold_unit = next(lifetimes) if hold_mode == "exponential" else 1.0
+                service = math.inf if cls else service_unit / mu
+                hold_unit = hold_unit if hold_mode == "exponential" else 1.0
                 dep, kind = schedule(t, service, hold_unit, params.h)
                 heappush(heap, (dep, number, cls, kind, t, service, hold_unit))
                 number += 1
@@ -272,6 +284,24 @@ def test_kernel_matches_the_per_event_reference_loop(hold_mode, seed):
     assert len(trace) > 3000 and sum(map(sum, evictions)) > 0
 
 
+def test_states_of_one_seed_give_every_arrival_the_same_lifetimes():
+    # lifetimes are drawn by arrival, so (h, m) and the outcomes change none
+    small = make_state(h=0.5, m=1, hold_mode="exponential", mu=2.0, seed=4)
+    large = make_state(h=2.5, m=1024, hold_mode="exponential", mu=2.0, seed=4)
+    rng = np.random.default_rng(4)
+    for window in range(5):
+        times = np.sort(rng.uniform(window, window + 1, 300))
+        classes = rng.integers(0, 2, 300).astype(np.int8)
+        (a, a_outcomes), (b, b_outcomes) = (offer(state, times, classes)
+                                            for state in (small, large))
+        assert a_outcomes != b_outcomes
+        for row in (SERVICE, HOLD_UNIT):
+            assert a[row].tobytes() == b[row].tobytes()  # bit for bit
+        small.advance_to(times[-1], a, a_outcomes)
+        large.advance_to(times[-1], b, b_outcomes)
+    assert small.blocked[REG] > 0 and large.blocked == [0, 0]
+
+
 # -- arrival sampling --------------------------------------------------------
 
 def test_arrival_times_are_the_running_sum_of_draws():
@@ -289,17 +319,6 @@ def test_zero_rate_stream_never_fires():
     assert stream.draw().tolist() == [np.inf] * 4
     times = stream.times()
     assert [x for _ in range(3) for x in next(times).tolist()] == [np.inf] * 12
-
-
-def test_lifetimes_settle_the_values_read_in_order():
-    lifetimes = _Lifetimes(np.random.default_rng(7))
-    reference = _ExpStream(np.random.default_rng(7), 1.0)
-    expected = np.concatenate([reference.draw() for _ in range(3)]).tolist()
-    read = [lifetimes.next() for _ in range(3)]
-    assert lifetimes.settled(3).tolist() == read == expected[:3]
-    assert lifetimes.settled(0).tolist() == []
-    read = [lifetimes.next() for _ in range(2 * 8192)]  # across two refills
-    assert lifetimes.settled(2 * 8192).tolist() == read == expected[3:3 + 2 * 8192]
 
 
 # -- full runs ---------------------------------------------------------------
@@ -354,13 +373,28 @@ def test_reports_are_bit_identical_across_runs():
     assert a.horizon == b.horizon
 
 
-def test_controller_does_not_perturb_traffic():
-    # shared seed: both controllers see the same arrival sample path
-    a = run_simulation(cfg(controller_kind="static"))
-    b = run_simulation(cfg(controller_kind="la"))
+def test_controller_does_not_perturb_traffic(monkeypatch):
+    # shared seed: both controllers see the same arrival sample path, and
+    # every arrival gets the same lifetimes whatever (h, m) and its outcome
+    offered = BacklogState.offered
+    lifetimes = {}
+
+    def recorded(state, times, classes):
+        records = offered(state, times, classes)
+        lifetimes[kind].append(records[[SERVICE, HOLD_UNIT]].tobytes())
+        return records
+
+    monkeypatch.setattr(BacklogState, "offered", recorded)
+    reports = {}
+    for kind in ("static", "la"):
+        lifetimes[kind] = []
+        reports[kind] = run_simulation(cfg(controller_kind=kind, hold_mode="exponential"))
+    a, b = reports["static"], reports["la"]
     assert a.horizon == b.horizon
     assert [w.arrivals_regular for w in a.windows] == \
            [w.arrivals_regular for w in b.windows]
+    assert len(lifetimes["la"]) == 10 and lifetimes["static"] == lifetimes["la"]
+    assert a.totals.blocked != b.totals.blocked  # the outcomes differ
 
 
 def test_occupancy_shares_are_proper_fractions():
@@ -418,31 +452,33 @@ def test_event_trace_occupancy_column_replays():
 # sha256 of the window CSV followed by the event trace, keyed by case id:
 # kind-hold_mode-k, then the case's change to the shared config, if any.  A
 # change that moves the sample path on purpose records new digests and says so.
+# The two static k = 0 cases agree: both modes take a service from the same
+# draw, and no entry reaches its exponential timeout in these 4000 arrivals.
 SAMPLE_PATH_SHA256 = {
     "static-deterministic-0.0":
-        "61afa64674ac5c5ed05a332ee725d7c01f9456ef24b4cc9a673e940f633f3ee8",
+        "be2e40893e694f967b2ddf57822b1050b6a0abbcffae386868cdd26ba20b6d5c",
     "static-deterministic-2.0":
-        "d48ff69b8e34af6008c892ce976fd98f7191740fcb7ca826f64eb9a8c8397f4b",
+        "cab2126868e0de98b57500d7f51a7de864caabd3f077e425c50fc96ab8c1590f",
     "static-exponential-0.0":
-        "758636a3c94deeac3a8f41572f950ed0c81af4054571e09e9c757a3ea57a4797",
+        "be2e40893e694f967b2ddf57822b1050b6a0abbcffae386868cdd26ba20b6d5c",
     "static-exponential-2.0":
-        "57b88c1810b62d20d28cf37366a12f3a6c4edfc3e1cd9192d4332f69101041bb",
+        "c7c34c7ae7d5d864149f551c0752be148d72f0989d01364395bdff091b327323",
     "la-deterministic-0.0":
-        "d9068c7577715f5ab0664e9008123d671a19358e53254104cc66a9735778cabc",
+        "61f51d4aa1a19d076510877b0a0242c89524802547e583cabcc81fd59fc2c034",
     "la-deterministic-2.0":
-        "5b976784dba4850781bb25211bcdd1ffbce280aa1dbc703db77ab857b448b6fd",
+        "317324dfaeae304a285e49c436a3ae62ce568b9db1ff76b527a6dacb91bb7ec0",
     "la-exponential-0.0":
-        "b1c6e87a2a98ec72244e3ac99361f1d42c7ebb70bb2fae6f2af04e48c339339e",
+        "84fa4c90dfe4a849a49fb432cf4369cc9bad578c2d736d152df880081c22af31",
     "la-exponential-2.0":
-        "a4663154c903d661384a038543b2bba7236e097a7580ba8a40052b951b555914",
+        "d8e2d75332a78de6f74955204cd7d70483c6f00c4341831794995042df06a910",
     "la-deterministic-2.0-overshoot":
-        "6e3d312c2127fa63f735ad45f100ef12197ee6d57f252e1744ef7d1e4d878b7d",
+        "0aa53b19aa7cb6d0e66041259058fa78bdc0ba335c5be537a64dc42abf0f5c42",
     "la-exponential-2.0-window1":
-        "2beec916842a62022138fbbacf03b47c7f4dd1adbaf1e6ddb0d855dc94e049bf",
+        "8e2aa7654fdddfe7a1053e5cab904c5c35944d9389bcb11ec494993aa95226c8",
 }
 CASE_CHANGES = {
-    # m shrinks to 64 with 203 residents: they stay, over the new cap
-    "la-deterministic-2.0-overshoot": dict(master_seed=1),
+    # m shrinks to 256 with 406 residents: they stay, over the new cap
+    "la-deterministic-2.0-overshoot": dict(master_seed=9),
     # every arrival is a window, so the controller acts after each one
     "la-exponential-2.0-window1": dict(window_size=1),
 }
