@@ -89,7 +89,9 @@ class _ExpStream:
 
     draw() returns the next block of gaps.  times() yields them as absolute
     times: the running left-to-right sum of the gaps, one np.cumsum per
-    block, bit for bit the sum `t = t + gap` builds.
+    block, bit for bit the sum `t = t + gap` builds.  A sum past the largest
+    float is inf, so a rate too small to fire again within the float range
+    never fires again, as rate 0 never fires.
     """
 
     __slots__ = ("rng", "rate", "block")
@@ -108,8 +110,9 @@ class _ExpStream:
         t = 0.0
         while True:
             gaps = self.draw()
-            gaps[0] += t  # the block's first sum starts from the last time
-            block = np.cumsum(gaps)
+            with np.errstate(over="ignore"):
+                gaps[0] += t  # the block's first sum starts from the last time
+                block = np.cumsum(gaps)
             yield block
             t = block[-1]
 

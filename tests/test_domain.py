@@ -3,7 +3,7 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from synsim import (DefenseParams, LaSettings, SimConfig, TrafficModel,
                     config_from_dict, load_config, run_simulation, validate_config)
@@ -140,6 +140,8 @@ def test_bad_config_dict_rejected_naming_the_key(doc, key):
 
 
 @settings(max_examples=25, deadline=None)
+@example(seed=0, lambda1=3.0, k=2.225073858507203e-309, mu=1.0, h=1.0, m=1, window=1,
+         n_windows=1, kind="static", hold_mode="deterministic")  # attack times overflow
 @given(
     seed=st.integers(0, 2**32 - 1),
     lambda1=st.floats(0.01, 100.0),

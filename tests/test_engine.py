@@ -314,6 +314,14 @@ def test_arrival_times_are_the_running_sum_of_draws():
             assert time == t  # bit for bit
 
 
+def test_stream_past_the_float_range_never_fires_again():
+    # the second time overflows: inf, without an overflow warning
+    times = _ExpStream(np.random.default_rng(0), 6.7e-309, block=4).times()
+    first, *rest = next(times).tolist()
+    assert math.isfinite(first) and rest == [np.inf] * 3
+    assert next(times).tolist() == [np.inf] * 4
+
+
 def test_zero_rate_stream_never_fires():
     stream = _ExpStream(np.random.default_rng(7), 0.0, block=4)
     assert stream.draw().tolist() == [np.inf] * 4
