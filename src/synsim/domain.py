@@ -120,8 +120,12 @@ def validate_config(config: SimConfig) -> list[str]:
     if _integer("master_seed", config.master_seed, v) and config.master_seed < 0:
         v.append("master_seed must be non-negative")
     t = config.traffic
-    if _number("lambda1", t.lambda1, v) and t.lambda1 <= 0:
-        v.append("lambda1 must be strictly positive")
+    if _number("lambda1", t.lambda1, v):
+        if t.lambda1 <= 0:
+            v.append("lambda1 must be strictly positive")
+        elif _is_int(config.total_requests) and config.total_requests >= 1e300 * t.lambda1:
+            # a horizon near the largest float sends arrival times past it
+            v.append("lambda1 must exceed total_requests / 1e300")
     if _number("k", t.k, v) and t.k < 0:
         v.append("k must be non-negative")
     if _number("mu", t.mu, v) and t.mu <= 0:

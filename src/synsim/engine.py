@@ -32,19 +32,15 @@ per arrival, admit_or_block: one compare and, on admission, one heapreplace;
 nothing else runs per arrival.
 
 Departures: the settle.  Once per window, advance_to keeps the admitted
-columns of the offered records as new residents, takes out the departures due
-by the window's last arrival, in (time, admission number) order, and merges
-them into the window's arrivals: each departure goes just before the first
-arrival that follows its admission and is not earlier than it, so a
-departure comes first on a tie.  (For a zero lifetime this assumes no two
-arrivals share an instant, which has probability 0.)  Per-class occupancy is a cumsum
-of +-1 steps.  Each normalized occupancy integral adds dt * n / m per event,
-in event order, through np.cumsum seeded with the running value; np.cumsum
-adds left to right (np.add.accumulate, not a pairwise sum), so the integral
-is bit for bit the one an event-by-event `+=` builds, and an event at the
-time of the one before it adds an exact +0.0.  (h, m) changes only between
-windows, so m is constant within a settle.  The drain after the last
-arrival is the same settle with no arrivals.
+columns of the offered records as new residents and takes out the
+departures due by the window's last arrival.  A class's occupancy integral
+over the window [clock, until] is the sum, over its records resident in it,
+of min(dep, until) - max(admit, clock), so no event order is needed: the
+settle adds one np.bincount of those spans / m over the records, in
+admission order.  (h, m) changes only between windows, so m is constant
+within a settle.  The drain after the last arrival is the same settle with
+until = inf.  Only the event trace orders events, in trace_events, which
+runs only when a trace is written.
 
 Bookkeeping keeps one representation per concept.  Every per-class count
 (arrivals, admissions, blocks, completions, expiries, occupancy, the
@@ -82,6 +78,7 @@ EVENT_LABELS = tuple(f"{kind}\t{label}" for kind in ("admit", "block", "complete
 
 # columns of a resident record; COMPLETE is 1.0 when the entry will complete
 ADMIT, CLS, SERVICE, HOLD_UNIT, DEP, COMPLETE = range(6)
+_NO_RECORDS = np.empty((6, 0))
 
 
 class _ExpStream:
@@ -184,7 +181,6 @@ class SimReport:
     windows: list[WindowMetrics]
     param_trajectory: list[tuple[int, DefenseParams]]
     cumulative: WindowMetrics
-    horizon: float
     totals: RunTotals
 
     @property
@@ -254,14 +250,12 @@ class BacklogState:
     def pop_due(self, until: float) -> np.ndarray:
         """Take out the residents admitted before until that leave by until.
 
-        They come in (departure, admission number) order: records are kept in
-        admission order, and the sort is stable.
+        They come in admission order, as the records are kept.
         """
         records = self.records
         due = (records[DEP] <= until) & (records[ADMIT] < until)
         self.records = records[:, ~due]
-        records = records[:, due]
-        return records[:, np.argsort(records[DEP], kind="stable")]
+        return records[:, due]
 
     def depart(self, records: np.ndarray) -> None:
         """Free the records' slots and count their completions and expiries."""
@@ -275,52 +269,34 @@ class BacklogState:
 
     # -- time ------------------------------------------------------------
 
-    def advance_to(self, until: float, offered: np.ndarray = np.empty((6, 0)),
-                   outcomes: list = ()) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def advance_to(self, until: float, offered: np.ndarray = _NO_RECORDS,
+                   outcomes: list = ()) -> np.ndarray:
         """Settle the window whose last arrival is at until; until=inf drains.
 
         offered (the window's records) and outcomes (admit_or_block's
         answers) are the window's arrivals.  Counts them, keeps the admitted
-        records as residents, takes out the departures due and integrates
-        occupancy / m up to the last event.  Returns the events in order:
-        their times, their codes (2 * kind + class; kind 0-3 is admit, block,
-        complete, expire) and the occupancy after each.
+        records as residents, adds each class's occupancy / m integral over
+        [clock, until] and takes out the departures due.  Returns the
+        records taken out, in admission order.
         """
-        times, classes = offered[ADMIT], offered[CLS]
-        admitted = np.fromiter(outcomes, bool, len(times))  # None, a block, is False
-        start = np.array(self.occupancy, dtype=float)
+        classes = offered[CLS]
+        admitted = np.fromiter(outcomes, bool, len(classes))  # None, a block, is False
         arrivals, admits = _per_class(classes), _per_class(classes[admitted])
         for cls in (0, 1):
             self.arrivals[cls] += arrivals[cls]
             self.admitted[cls] += admits[cls]
             self.blocked[cls] += arrivals[cls] - admits[cls]
             self.occupancy[cls] += admits[cls]
-        self.records = np.concatenate((self.records, offered[:, admitted]), axis=1)
+        records = np.concatenate((self.records, offered[:, admitted]), axis=1)
+        self.records = records
+        # each resident's time in [clock, until]
+        span = np.minimum(records[DEP], until) - np.maximum(records[ADMIT], self.clock)
+        added = np.bincount(records[CLS].astype(np.intp), span / self.params.m, minlength=2)
+        self.integral = [total + x for total, x in zip(self.integral, added.tolist())]
+        self.clock = until
         due = self.pop_due(until)
         self.depart(due)
-
-        # merge, departures first on a tie; a zero lifetime (departure ==
-        # admission) is keyed just past its admission, so it follows it
-        dep = due[DEP]
-        key = dep.copy()
-        zero = dep == due[ADMIT]
-        key[zero] = np.nextafter(dep[zero], _INF)
-        order = np.argsort(np.concatenate((key, times)), kind="stable")
-        t = np.concatenate((dep, times))[order]
-        cls = np.concatenate((due[CLS], classes))[order].astype(np.intp)
-        kind = np.concatenate((3 - due[COMPLETE], ~admitted))[order].astype(np.intp)
-        change = np.concatenate((np.full(len(dep), -1.0), admitted))[order]
-        step = np.zeros((2, len(t)))  # occupancy change per class
-        step[cls, np.arange(len(t))] = change
-
-        after = start[:, None] + np.cumsum(step, axis=1)  # exact: small integers
-        terms = np.diff(t, prepend=self.clock) * (after - step) / self.params.m
-        # seeded with the running values, the sums go on left to right
-        seeded = np.concatenate((np.array(self.integral)[:, None], terms), axis=1)
-        self.integral = np.cumsum(seeded, axis=1)[:, -1].tolist()
-        if len(t):
-            self.clock = float(t[-1])
-        return t, 2 * kind + cls, after.sum(axis=0).astype(np.intp)
+        return due
 
     # -- parameter changes -----------------------------------------------
 
@@ -351,10 +327,37 @@ class BacklogState:
         return EvictionSummary(*counts)
 
 
-def _trace_lines(times: np.ndarray, codes: np.ndarray, occupancy: np.ndarray,
-                 suffix: str) -> list[str]:
-    return [f"{t!r}\t{EVENT_LABELS[code]}\t{n}{suffix}"
-            for t, code, n in zip(times.tolist(), codes.tolist(), occupancy.tolist())]
+def trace_events(departed: np.ndarray, occupancy: int, offered: np.ndarray = _NO_RECORDS,
+                 outcomes: list = ()) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A settle's events in trace order: their times, their codes (2 * kind +
+    class; kind 0-3 is admit, block, complete, expire) and the occupancy after
+    each.  departed is what advance_to returned, occupancy the total after it,
+    and offered and outcomes are advance_to's arguments.
+
+    Each departure goes just before the first arrival not earlier than it, so
+    a departure comes first on a tie, and departures go in (time, admission
+    number) order.  A zero lifetime (departure == admission) is keyed just
+    past its admission, so it follows it; this assumes no two arrivals share
+    an instant, which has probability 0.
+    """
+    admitted = np.fromiter(outcomes, bool, offered.shape[1])
+    dep, times = departed[DEP], offered[ADMIT]
+    key = dep.copy()
+    zero = dep == departed[ADMIT]
+    key[zero] = np.nextafter(dep[zero], _INF)
+    t = np.concatenate((dep, times))
+    order = np.lexsort((t, np.concatenate((key, times))))  # stable: departures first
+    cls = np.concatenate((departed[CLS], offered[CLS]))[order]
+    kind = np.concatenate((3 - departed[COMPLETE], ~admitted))[order]
+    change = np.concatenate((np.full(len(dep), -1), admitted))[order]
+    after = occupancy - change.sum() + np.cumsum(change)
+    return t[order], (2 * kind + cls).astype(np.intp), after
+
+
+def _trace_lines(suffix: str, *settle) -> list[str]:
+    """The lines of trace_events(*settle), each ending in suffix."""
+    events = (x.tolist() for x in trace_events(*settle))
+    return [f"{t!r}\t{EVENT_LABELS[code]}\t{n}{suffix}" for t, code, n in zip(*events)]
 
 
 class ConservationError(AssertionError):
@@ -416,9 +419,9 @@ def run_simulation(config: SimConfig, controller=None, seed: int | None = None,
         offered = state.offered(times, classes)
         outcomes = list(map(admit_or_block, offered[DEP].tolist(), times.tolist()))
         t_last = float(times[-1])
-        events = advance_to(t_last, offered, outcomes)
+        departed = advance_to(t_last, offered, outcomes)
         if trace:
-            lines += _trace_lines(*events, suffix)
+            lines += _trace_lines(suffix, departed, sum(state.occupancy), offered, outcomes)
 
         win_end = state.window_counters()
         wm = finalize_window(*(e - s for e, s in zip(win_end, win_start)),
@@ -438,19 +441,15 @@ def run_simulation(config: SimConfig, controller=None, seed: int | None = None,
             lines.clear()
 
     # drain all residents after the last arrival
-    events = advance_to(_INF)
+    departed = advance_to(_INF)
     if trace:
-        trace.write("".join(_trace_lines(*events, suffix)))
+        trace.write("".join(_trace_lines(suffix, departed, 0)))
 
     totals = RunTotals(*(dict(zip(RequestClass, pair)) for pair in (
         state.arrivals, state.admitted, state.blocked, state.completed, state.expired,
         state.occupancy)))
     _audit(totals)
 
-    return SimReport(
-        windows=windows,
-        param_trajectory=trajectory,
-        cumulative=cumulative_metrics(windows, config.epsilon_floor),
-        horizon=t_last,
-        totals=totals,
-    )
+    return SimReport(windows=windows, param_trajectory=trajectory,
+                     cumulative=cumulative_metrics(windows, config.epsilon_floor),
+                     totals=totals)

@@ -29,7 +29,6 @@ SWEEP_COLUMNS = ("k", "seed", "controller", "Ploss", "Pr", "Pa", "J",
                  "mean_h", "mean_m", "legit_expired_fraction")
 
 DEFAULT_K_VALUES = tuple(0.25 * i for i in range(9))  # 0 .. 2
-DEFAULT_N_SEEDS = 10
 
 
 def _fmt(value) -> str:
@@ -71,6 +70,8 @@ def run_single(config: SimConfig, seed: int | None = None,
                event_trace_path: str | None = None, quiet: bool = False):
     """Run one simulation; write the window CSV and optional traces."""
     controller = make_controller(config)
+    if la_trace_path and not isinstance(controller, LaController):
+        raise ValueError("--la-trace requires the la controller")
     trace_file = open(event_trace_path, "w") if event_trace_path else None
     try:
         report = run_simulation(config, controller=controller, seed=seed,
@@ -83,8 +84,6 @@ def run_single(config: SimConfig, seed: int | None = None,
         with open(out_path, "w", encoding="utf-8") as f:
             f.write(csv_text)
     if la_trace_path:
-        if not isinstance(controller, LaController):
-            raise ValueError("--la-trace requires the la controller")
         with open(la_trace_path, "w", encoding="utf-8") as f:
             f.write(la_trace_csv(controller))
     if not quiet:
@@ -98,7 +97,7 @@ def run_single(config: SimConfig, seed: int | None = None,
 class SweepSpec:
     base_config: SimConfig
     k_values: tuple[float, ...] = DEFAULT_K_VALUES
-    seeds: tuple[int, ...] = tuple(range(DEFAULT_N_SEEDS))
+    seeds: tuple[int, ...] = tuple(range(10))
     controllers: tuple[str, ...] = ("static", "la")
 
     def __post_init__(self):
@@ -277,8 +276,6 @@ def _add_shared_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config path")
     p.add_argument("--seed", type=int, help="override master_seed")
     p.add_argument("--out", help="output CSV path")
-    p.add_argument("--la-trace", help="probability-vector trace CSV path")
-    p.add_argument("--event-trace", help="event trace TSV path")
 
 
 def _load(args) -> SimConfig:
@@ -304,15 +301,18 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="single simulation run")
     _add_shared_flags(p_run)
+    p_run.add_argument("--la-trace", help="probability-vector trace CSV path")
+    p_run.add_argument("--event-trace", help="event trace TSV path")
 
     p_sweep = sub.add_parser("sweep", help="k-sweep over seeds and controllers")
     _add_shared_flags(p_sweep)
-    p_sweep.add_argument("--k-min", type=float, default=0.0)
-    p_sweep.add_argument("--k-max", type=float, default=2.0)
-    p_sweep.add_argument("--k-step", type=float, default=0.25)
-    p_sweep.add_argument("--seeds", type=int, default=DEFAULT_N_SEEDS,
+    k_min, k_next, k_max = DEFAULT_K_VALUES[0], DEFAULT_K_VALUES[1], DEFAULT_K_VALUES[-1]
+    p_sweep.add_argument("--k-min", type=float, default=k_min)
+    p_sweep.add_argument("--k-max", type=float, default=k_max)
+    p_sweep.add_argument("--k-step", type=float, default=k_next - k_min)
+    p_sweep.add_argument("--seeds", type=int, default=len(SweepSpec.seeds),
                          help="number of replicate seeds")
-    p_sweep.add_argument("--controllers", default="static,la")
+    p_sweep.add_argument("--controllers", default=",".join(SweepSpec.controllers))
     p_sweep.add_argument("--workers", type=int, default=None)
 
     p_val = sub.add_parser("validate", help="oracle-agreement suite")
@@ -328,29 +328,25 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "sweep":
+        if not (args.k_step > 0 and args.k_max >= args.k_min):
+            p_sweep.error("--k-step must be positive and --k-max at least --k-min")
         base = _load(args)
         n_steps = int(round((args.k_max - args.k_min) / args.k_step)) + 1
-        k_values = tuple(args.k_min + i * args.k_step for i in range(n_steps))
-        base_seed = base.master_seed
-        spec = SweepSpec(
-            base_config=base,
-            k_values=k_values,
-            seeds=tuple(base_seed + i for i in range(args.seeds)),
-            controllers=tuple(args.controllers.split(",")))
+        spec = SweepSpec(base_config=base,
+                         k_values=tuple(args.k_min + i * args.k_step for i in range(n_steps)),
+                         seeds=tuple(base.master_seed + i for i in range(args.seeds)),
+                         controllers=tuple(args.controllers.split(",")))
         text = run_sweep(spec, out_path=args.out, workers=args.workers)
         if not args.out:
             sys.stdout.write(text)
         return 0
 
-    if args.command == "validate":
-        checks, ok = run_validate(args.cases)
-        for c in checks:
-            status = "PASS" if c.passed else "FAIL"
-            print(f"{status}  {c.name}: observed {c.observed}, "
-                  f"expected {c.expected} [{c.seconds:.3f} s]")
-        return 0 if ok else 1
-
-    return 2
+    checks, ok = run_validate(args.cases)  # validate
+    for c in checks:
+        status = "PASS" if c.passed else "FAIL"
+        print(f"{status}  {c.name}: observed {c.observed}, "
+              f"expected {c.expected} [{c.seconds:.3f} s]")
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

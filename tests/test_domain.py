@@ -98,6 +98,8 @@ def _la(**kw):
     (_traffic(lambda1=NAN), "lambda1"),
     (_traffic(lambda1=INF), "lambda1"),
     (_traffic(lambda1=0.0), "lambda1"),
+    # arrival times past the largest float: every window's Pr, Pa and J would be nan
+    (replace(_traffic(lambda1=1e-308, k=0.0), total_requests=4, window_size=4), "lambda1"),
     (_traffic(k=NAN), "k"),
     (_traffic(k=INF), "k"),
     (_traffic(mu=NAN), "mu"),

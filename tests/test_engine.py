@@ -8,7 +8,7 @@ import pytest
 
 from synsim.domain import DefenseParams, RequestClass, SimConfig, TrafficModel
 from synsim.engine import (ADMIT, DEP, EVENT_LABELS, HOLD_UNIT, SERVICE, BacklogState,
-                           _ExpStream, run_simulation)
+                           _ExpStream, run_simulation, trace_events)
 from synsim.harness import trace_ordering_ok, window_csv
 from synsim.oracle import erlang_b
 
@@ -28,13 +28,19 @@ def offer(state, times, classes):
     return offered, list(map(state.admit_or_block, offered[DEP].tolist(), times.tolist()))
 
 
+def settle(state, until, offered=np.empty((6, 0)), outcomes=()):
+    """Settle up to until, as run_simulation does; returns the traced events."""
+    departed = state.advance_to(until, offered, outcomes)
+    return trace_events(departed, sum(state.occupancy), offered, outcomes)
+
+
 def arrive(state, arrivals):
     """Offer (class, time) arrivals as one window and settle it; returns
     admit_or_block's answers and the settled events."""
     times = np.array([t for _, t in arrivals])
     classes = np.array([cls for cls, _ in arrivals], np.int8)
     offered, outcomes = offer(state, times, classes)
-    return outcomes, state.advance_to(times[-1], offered, outcomes)
+    return outcomes, settle(state, times[-1], offered, outcomes)
 
 
 def admit(state, cls, t):
@@ -170,7 +176,7 @@ def test_advance_to_symmetric_half_occupancy():
 def test_drain_settles_every_resident():
     state = make_state(h=10.0, m=8)
     arrive(state, [(ATT, 0.0), (REG, 1.0), (ATT, 2.0)])
-    times, codes, occupancy = state.advance_to(np.inf)
+    times, codes, occupancy = settle(state, np.inf)
     assert times.tolist() == sorted(times.tolist()) and len(times) == 2
     assert occupancy.tolist() == [1, 0]
     assert state.occupancy == [0, 0] and state.records.shape == (6, 0)
@@ -183,11 +189,24 @@ def reference_loop(windows, params, hold_mode, mu, seed):
     taken out, in (time, admission number) order, before the first arrival
     not earlier than it.  Arrival i of a window takes its service and hold
     units from column i of one (2, n) draw per window, admitted or not.
-    Returns the same observables as kernel_run."""
+
+    Returns the same observables as kernel_run; their integrals sum, per
+    window, each resident's time in it / m, in admission-number order with
+    the settle's reduction.  Also returns the integrals a per-event `+=`
+    of dt * occupancy / m builds."""
     rng = np.random.default_rng(seed)
-    heap, trace, integrals, evictions = [], [], [], []
+    heap, trace, integrals, evictions, event_integrals = [], [], [], [], []
     occupancy, integral, clock = [0, 0], [0.0, 0.0], 0.0
+    span_integral = [0.0, 0.0]
     counts = {kind: [0, 0] for kind in ("blocked", "completed", "expired")}
+
+    def settle(resident, start, until):
+        spans = [(min(item[0], until) - max(item[4], start)) / params.m for item in resident]
+        classes = np.array([item[2] for item in resident], np.intp)
+        added = np.bincount(classes, np.array(spans, float), minlength=2).tolist()
+        span_integral[:] = [total + x for total, x in zip(span_integral, added)]
+        integrals.append(list(span_integral))
+        event_integrals.append(list(integral))
 
     def advance(t):
         nonlocal clock
@@ -214,6 +233,8 @@ def reference_loop(windows, params, hold_mode, mu, seed):
 
     number = 0
     for times, classes, new in windows:
+        # the window's residents in admission-number order, and its start
+        resident, start = sorted(heap, key=lambda item: item[1]), clock
         units = rng.standard_exponential((2, len(times))).tolist()
         for t, cls, service_unit, hold_unit in zip(times.tolist(), classes.tolist(), *units):
             pop_until(t)
@@ -222,14 +243,15 @@ def reference_loop(windows, params, hold_mode, mu, seed):
                 service = math.inf if cls else service_unit / mu
                 hold_unit = hold_unit if hold_mode == "exponential" else 1.0
                 dep, kind = schedule(t, service, hold_unit, params.h)
-                heappush(heap, (dep, number, cls, kind, t, service, hold_unit))
+                resident.append((dep, number, cls, kind, t, service, hold_unit))
+                heappush(heap, resident[-1])
                 number += 1
                 occupancy[cls] += 1
                 trace.append((t, cls, sum(occupancy)))
             else:
                 counts["blocked"][cls] += 1
                 trace.append((t, 2 + cls, sum(occupancy)))
-        integrals.append(list(integral))
+        settle(resident, start, t)
         evicted = [0, 0]
         if new.h != params.h:
             kept = []
@@ -244,9 +266,10 @@ def reference_loop(windows, params, hold_mode, mu, seed):
             heapify(heap)
         params = new
         evictions.append(evicted)
+    resident, start = sorted(heap, key=lambda item: item[1]), clock
     pop_until(math.inf)
-    integrals.append(list(integral))
-    return trace, integrals, evictions, counts, occupancy
+    settle(resident, start, math.inf)
+    return trace, integrals, evictions, counts, occupancy, event_integrals
 
 
 def kernel_run(windows, params, hold_mode, mu, seed):
@@ -258,7 +281,7 @@ def kernel_run(windows, params, hold_mode, mu, seed):
         integrals.append(list(state.integral))
         summary = state.apply_defense_params(new, float(times[-1]))
         evictions.append([summary.regular, summary.attack])
-    trace += zip(*(x.tolist() for x in state.advance_to(np.inf)))
+    trace += zip(*(x.tolist() for x in settle(state, np.inf)))
     integrals.append(list(state.integral))
     counts = {"blocked": state.blocked, "completed": state.completed,
               "expired": state.expired}
@@ -278,8 +301,13 @@ def test_kernel_matches_the_per_event_reference_loop(hold_mode, seed):
     windows = [(t, c, grid[rng.integers(len(grid))])
                for t, c in zip(np.split(times, cuts), np.split(classes, cuts))]
     args = (windows, grid[0], hold_mode, 2.0, seed)
-    reference = reference_loop(*args)
-    assert kernel_run(*args) == reference
+    *reference, event_integrals = reference_loop(*args)
+    kernel = kernel_run(*args)
+    assert kernel == tuple(reference)
+    # the span sums are the per-event integrals up to rounding
+    integrals = kernel[1]
+    assert all(math.isclose(a, b, rel_tol=1e-12) for pair in zip(integrals, event_integrals)
+               for a, b in zip(*pair))
     trace, _, evictions, _, _ = reference
     assert len(trace) > 3000 and sum(map(sum, evictions)) > 0
 
@@ -378,7 +406,7 @@ def test_reports_are_bit_identical_across_runs():
     b = run_simulation(cfg(controller_kind="la"))
     assert a.windows == b.windows
     assert a.param_trajectory == b.param_trajectory
-    assert a.horizon == b.horizon
+    assert [w.window_duration for w in a.windows] == [w.window_duration for w in b.windows]
 
 
 def test_controller_does_not_perturb_traffic(monkeypatch):
@@ -398,7 +426,8 @@ def test_controller_does_not_perturb_traffic(monkeypatch):
         lifetimes[kind] = []
         reports[kind] = run_simulation(cfg(controller_kind=kind, hold_mode="exponential"))
     a, b = reports["static"], reports["la"]
-    assert a.horizon == b.horizon
+    # the windows end at the same arrivals
+    assert [w.window_duration for w in a.windows] == [w.window_duration for w in b.windows]
     assert [w.arrivals_regular for w in a.windows] == \
            [w.arrivals_regular for w in b.windows]
     assert len(lifetimes["la"]) == 10 and lifetimes["static"] == lifetimes["la"]
@@ -429,6 +458,20 @@ def test_event_trace_replays_identically():
         traces.append(buf.getvalue())
     assert traces[0] == traces[1]
     assert trace_ordering_ok(traces[0])
+
+
+@pytest.mark.parametrize("kind", ["static", "la"])
+@pytest.mark.parametrize("hold_mode", ["deterministic", "exponential"])
+@pytest.mark.parametrize("window_size", [200, 1])
+def test_writing_the_event_trace_leaves_the_report_unchanged(kind, hold_mode, window_size):
+    # the trace orders events on its own path; the settle never depends on it
+    config = cfg(controller_kind=kind, hold_mode=hold_mode, window_size=window_size,
+                 total_requests=1000)
+    plain = run_simulation(config)
+    traced = run_simulation(config, event_trace=io.StringIO())
+    assert traced.windows == plain.windows
+    assert traced.param_trajectory == plain.param_trajectory
+    assert traced.totals == plain.totals
 
 
 def test_event_trace_occupancy_column_replays():
@@ -466,23 +509,23 @@ SAMPLE_PATH_SHA256 = {
     "static-deterministic-0.0":
         "be2e40893e694f967b2ddf57822b1050b6a0abbcffae386868cdd26ba20b6d5c",
     "static-deterministic-2.0":
-        "cab2126868e0de98b57500d7f51a7de864caabd3f077e425c50fc96ab8c1590f",
+        "579bb8e252b7b9e1cbb8f0edfb3ffefd0d15f725b3e1851332012b8a40ac30e4",
     "static-exponential-0.0":
         "be2e40893e694f967b2ddf57822b1050b6a0abbcffae386868cdd26ba20b6d5c",
     "static-exponential-2.0":
-        "c7c34c7ae7d5d864149f551c0752be148d72f0989d01364395bdff091b327323",
+        "3f43a7f2a4e829b8bf8f52ed0e84e84a17335a425147bcd2f2acd7fba5629515",
     "la-deterministic-0.0":
-        "61f51d4aa1a19d076510877b0a0242c89524802547e583cabcc81fd59fc2c034",
+        "e0523e255054f58c42923384fa5777ab3a21aa9fcf8c2e51ead4a03158dde1be",
     "la-deterministic-2.0":
-        "317324dfaeae304a285e49c436a3ae62ce568b9db1ff76b527a6dacb91bb7ec0",
+        "7dbfdf5d8906046218911d9764785201603b825555fd6b4f1431abbe82284409",
     "la-exponential-0.0":
-        "84fa4c90dfe4a849a49fb432cf4369cc9bad578c2d736d152df880081c22af31",
+        "8748ed9c03fb85813711ed3d7c274a9780e2ef46f497adabcad5888602f9e513",
     "la-exponential-2.0":
-        "d8e2d75332a78de6f74955204cd7d70483c6f00c4341831794995042df06a910",
+        "67ba1dd305d6a2b37365e63ea221bb772419b3a1bd090ff84dbd65ec1b644a96",
     "la-deterministic-2.0-overshoot":
-        "0aa53b19aa7cb6d0e66041259058fa78bdc0ba335c5be537a64dc42abf0f5c42",
+        "7e526525e2a8fa9a3690a3917d1d765909087faa0d905f4fcf7ad1a76eac3ef7",
     "la-exponential-2.0-window1":
-        "8e2aa7654fdddfe7a1053e5cab904c5c35944d9389bcb11ec494993aa95226c8",
+        "9240de332b9612d23264df5a42581ac01adba378cd33543bd6b104958d5d19bf",
 }
 CASE_CHANGES = {
     # m shrinks to 256 with 406 residents: they stay, over the new cap

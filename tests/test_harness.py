@@ -5,9 +5,9 @@ from dataclasses import replace
 
 import pytest
 
-from synsim import oracle
+from synsim import harness, oracle
 from synsim.domain import DefenseParams, SimConfig, TrafficModel
-from synsim.harness import (SWEEP_COLUMNS, WINDOW_COLUMNS, SweepSpec, main,
+from synsim.harness import (DEFAULT_K_VALUES, SWEEP_COLUMNS, WINDOW_COLUMNS, SweepSpec, main,
                             run_single, run_sweep, run_validate)
 from synsim.oracle import ORACLE_CASES
 
@@ -59,8 +59,12 @@ def test_la_trace_emitted_for_la_controller(tmp_path):
 
 
 def test_la_trace_rejected_for_static(tmp_path):
+    # checked before the run, so no output is written
+    paths = {name: tmp_path / name for name in ("w.csv", "la.csv", "ev.tsv")}
     with pytest.raises(ValueError, match="la controller"):
-        run_single(cfg(), la_trace_path=str(tmp_path / "x.csv"), quiet=True)
+        run_single(cfg(), out_path=str(paths["w.csv"]), la_trace_path=str(paths["la.csv"]),
+                   event_trace_path=str(paths["ev.tsv"]), quiet=True)
+    assert not any(path.exists() for path in paths.values())
 
 
 def test_sweep_no_attack_column_is_zero():
@@ -149,6 +153,33 @@ def test_cli_sweep(tmp_path):
                "--seeds", "2", "--controllers", "static", "--workers", "1"])
     assert rc == 0
     assert len(list(csv.DictReader(out.read_text().splitlines()))) == 6
+
+
+def test_cli_sweep_takes_no_trace_flags(tmp_path, capsys):
+    for flag in ("--event-trace", "--la-trace"):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "--seed", "1", flag, str(tmp_path / "x")])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("flags", [["--k-step", "0"], ["--k-step", "-0.5"],
+                                   ["--k-step", "nan"], ["--k-min", "1", "--k-max", "0.5"]])
+def test_cli_sweep_rejects_a_bad_k_grid(flags, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sweep", "--seed", "1", *flags])
+    assert exit_info.value.code == 2
+    assert "--k-step must be positive" in capsys.readouterr().err
+
+
+def test_cli_sweep_defaults_are_the_sweep_spec_defaults(monkeypatch):
+    specs = []
+    monkeypatch.setattr(harness, "run_sweep", lambda spec, **_: specs.append(spec) or "")
+    assert main(["sweep", "--seed", "3"]) == 0
+    assert specs[0].k_values == DEFAULT_K_VALUES == SweepSpec.k_values
+    assert specs[0].controllers == SweepSpec.controllers
+    assert specs[0].seeds == tuple(3 + i for i in range(len(SweepSpec.seeds)))
 
 
 def test_cli_validate_exit_status(capsys):
