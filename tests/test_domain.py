@@ -98,8 +98,6 @@ def _la(**kw):
     (_traffic(lambda1=NAN), "lambda1"),
     (_traffic(lambda1=INF), "lambda1"),
     (_traffic(lambda1=0.0), "lambda1"),
-    # arrival times past the largest float: every window's Pr, Pa and J would be nan
-    (replace(_traffic(lambda1=1e-308, k=0.0), total_requests=4, window_size=4), "lambda1"),
     (_traffic(k=NAN), "k"),
     (_traffic(k=INF), "k"),
     (_traffic(mu=NAN), "mu"),
@@ -119,6 +117,8 @@ def _la(**kw):
     (replace(BASE, total_requests=True), "total_requests"),
     (replace(BASE, master_seed=-1), "master_seed"),
     (replace(BASE, total_requests=5300), "total_requests"),  # 10.6 windows
+    # arrival times past the largest float: every window's Pr, Pa and J would be nan
+    (replace(_traffic(lambda1=1e-308, k=0.0), total_requests=4, window_size=4), "lambda1"),
 ])
 def test_bad_config_rejected_naming_the_field(config, field):
     violations = validate_config(config)
