@@ -73,17 +73,10 @@ class LaController:
     def __init__(self, settings: LaSettings):
         self.h_automaton = Automaton(settings.h_actions, settings.a, settings.b)
         self.m_automaton = Automaton(settings.m_actions, settings.a, settings.b)
-        self.best_score = _NO_SCORE
         self.prev_score = _NO_SCORE
-        self.best_params: DefenseParams | None = None
         self.current: DefenseParams | None = None
         self.round = 0
         self.trace: list[tuple[int, np.ndarray, np.ndarray]] = []
-
-    @property
-    def j_best(self) -> float:
-        """J of the best-ranked window so far."""
-        return self.best_score[-1]
 
     def _sample(self, rng: np.random.Generator) -> DefenseParams:
         hi = self.h_automaton.select(rng)
@@ -109,9 +102,6 @@ class LaController:
             return params
         score = window_score(metrics)
         beta = feedback_signal(score, self.prev_score)
-        if score > self.best_score:
-            self.best_score = score
-            self.best_params = self.current
         self.prev_score = score
         hi = self.h_automaton.last_selected
         mi = self.m_automaton.last_selected

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import MISSING, dataclass, field, fields
 from enum import IntEnum
 from pathlib import Path
@@ -76,8 +77,11 @@ def _is_int(value) -> bool:
 
 
 def _is_finite(value) -> bool:
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
+    try:
+        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:  # an int past the float range
+        return False
 
 
 def _number(name: str, value, violations: list[str]) -> bool:
@@ -98,6 +102,9 @@ def _integer(name: str, value, violations: list[str]) -> bool:
 
 def _check_action_grid(name: str, grid, is_value, kind: str,
                        violations: list[str]) -> None:
+    if not isinstance(grid, Sequence):
+        violations.append(f"{name} must be a sequence")
+        return
     if len(grid) == 0:
         violations.append(f"{name} must be non-empty")
         return
@@ -182,7 +189,9 @@ def config_from_dict(data: dict) -> SimConfig:
     """Build a SimConfig from a plain dict (e.g. parsed JSON).
 
     Every key is optional except master_seed; keys mirror the field names.
-    Unknown or missing keys, nested ones included, raise ValueError.
+    Unknown or missing keys, nested ones included, raise ValueError.  A
+    finite number h becomes a float and a list grid a tuple; any other value
+    is kept as it is, for validate_config to report.
     """
     kwargs = _keys(SimConfig, data, "config")
     if "traffic" in kwargs:
@@ -190,11 +199,12 @@ def config_from_dict(data: dict) -> SimConfig:
         kwargs["traffic"] = TrafficModel(**traffic)
     if "initial_params" in kwargs:
         ip = _keys(DefenseParams, kwargs["initial_params"], "initial_params")
-        kwargs["initial_params"] = DefenseParams(float(ip["h"]), ip["m"])
+        h = ip["h"]
+        kwargs["initial_params"] = DefenseParams(float(h) if _is_finite(h) else h, ip["m"])
     if "la_settings" in kwargs:
         ls = _keys(LaSettings, kwargs["la_settings"], "la_settings")
         for key in ("h_actions", "m_actions"):
-            if key in ls:
+            if isinstance(ls.get(key), list):
                 ls[key] = tuple(ls[key])
         kwargs["la_settings"] = LaSettings(**ls)
     return SimConfig(**kwargs)

@@ -36,18 +36,18 @@ columns of the offered records as new residents and takes out the
 departures due by the window's last arrival.  A class's occupancy integral
 over the window [clock, until] is the sum, over its records resident in it,
 of min(dep, until) - max(admit, clock), so no event order is needed: the
-settle adds one np.bincount of those spans / m over the records, in
-admission order.  (h, m) changes only between windows, so m is constant
-within a settle.  The drain after the last arrival is the same settle with
-until = inf.  Only the event trace orders events, in trace_events, which
-runs only when a trace is written.
+settle takes one np.bincount of those spans / m over the records, in
+admission order, and keeps it as the window's integral.  (h, m) changes
+only between windows, so m is constant within a settle.  The drain after
+the last arrival is the same settle with until = inf.  Only the event trace
+orders events, in trace_events, which runs only when a trace is written.
 
 Bookkeeping keeps one representation per concept.  Every per-class count
-(arrivals, admissions, blocks, completions, expiries, occupancy, the
-normalized occupancy integral) is a [regular, attack] pair indexed by the
-RequestClass int, and each resident is one column of a records array.  A
-window's metrics are the differences of the running counters, which the
-state lists in finalize_window's argument order.
+(arrivals, admissions, blocks, completions, expiries) is a [regular, attack]
+pair indexed by the RequestClass int, and each resident is one column of a
+records array, so the occupancy is a count of the records.  The run audit
+compares three tallies kept apart: admissions from admit_or_block's
+outcomes, departures from depart, and the residents still in the records.
 
 Each arrival stream is sampled 8192 gaps at a time and read as absolute
 times, one np.cumsum per block (the same left-to-right sums as adding one
@@ -207,13 +207,16 @@ class BacklogState:
         self.blocked = [0, 0]
         self.completed = [0, 0]
         self.expired = [0, 0]
-        self.occupancy = [0, 0]
-        self.integral = [0.0, 0.0]  # time integral of occupancy / m
+        self.integral = [0.0, 0.0]  # the last settle's time integral of occupancy / m
+
+    @property
+    def occupancy(self) -> list[int]:
+        """Residents of each class: the records still held."""
+        return _per_class(self.records[CLS])
 
     def window_counters(self) -> tuple:
-        """Running counters in finalize_window's argument order, duration last."""
-        return (*self.arrivals, *self.blocked, self.completed[REG], self.expired[REG],
-                *self.integral, self.clock)
+        """Running counts in finalize_window's argument order."""
+        return (*self.arrivals, *self.blocked, self.completed[REG], self.expired[REG])
 
     # -- admissions ------------------------------------------------------
 
@@ -263,7 +266,6 @@ class BacklogState:
                              minlength=4).tolist()
         for cls in (0, 1):
             expired, completed = counts[2 * cls:2 * cls + 2]
-            self.occupancy[cls] -= expired + completed
             self.completed[cls] += completed
             self.expired[cls] += expired
 
@@ -275,9 +277,9 @@ class BacklogState:
 
         offered (the window's records) and outcomes (admit_or_block's
         answers) are the window's arrivals.  Counts them, keeps the admitted
-        records as residents, adds each class's occupancy / m integral over
-        [clock, until] and takes out the departures due.  Returns the
-        records taken out, in admission order.
+        records as residents, sets integral to each class's occupancy / m
+        integral over [clock, until] and takes out the departures due.
+        Returns the records taken out, in admission order.
         """
         classes = offered[CLS]
         admitted = np.fromiter(outcomes, bool, len(classes))  # None, a block, is False
@@ -286,13 +288,12 @@ class BacklogState:
             self.arrivals[cls] += arrivals[cls]
             self.admitted[cls] += admits[cls]
             self.blocked[cls] += arrivals[cls] - admits[cls]
-            self.occupancy[cls] += admits[cls]
         records = np.concatenate((self.records, offered[:, admitted]), axis=1)
         self.records = records
         # each resident's time in [clock, until]
         span = np.minimum(records[DEP], until) - np.maximum(records[ADMIT], self.clock)
-        added = np.bincount(records[CLS].astype(np.intp), span / self.params.m, minlength=2)
-        self.integral = [total + x for total, x in zip(self.integral, added.tolist())]
+        self.integral = np.bincount(records[CLS].astype(np.intp), span / self.params.m,
+                                    minlength=2).tolist()
         self.clock = until
         due = self.pop_due(until)
         self.depart(due)
@@ -409,7 +410,7 @@ def run_simulation(config: SimConfig, controller=None, seed: int | None = None,
     n_windows = config.total_requests // wsize
     windows: list[WindowMetrics] = []
     trajectory: list[tuple[int, DefenseParams]] = [(0, params)]
-    win_start = state.window_counters()
+    counts_start, t_start = state.window_counters(), 0.0
 
     arrivals = _Arrivals(reg_stream, att_stream)
     admit_or_block, advance_to = state.admit_or_block, state.advance_to
@@ -423,11 +424,11 @@ def run_simulation(config: SimConfig, controller=None, seed: int | None = None,
         if trace:
             lines += _trace_lines(suffix, departed, sum(state.occupancy), offered, outcomes)
 
-        win_end = state.window_counters()
-        wm = finalize_window(*(e - s for e, s in zip(win_end, win_start)),
-                             epsilon_floor=config.epsilon_floor)
+        counts_end = state.window_counters()
+        wm = finalize_window(*(e - s for e, s in zip(counts_end, counts_start)),
+                             *state.integral, t_last - t_start, config.epsilon_floor)
         windows.append(wm)
-        win_start = win_end
+        counts_start, t_start = counts_end, t_last
         new_params = controller.on_window_end(wm, rng_la)
         if window < n_windows:  # no window is left to act on the last answer
             state.apply_defense_params(new_params, t_last)

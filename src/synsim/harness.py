@@ -280,7 +280,10 @@ def _add_shared_flags(p: argparse.ArgumentParser) -> None:
 
 def _load(args) -> SimConfig:
     if args.config:
-        config = load_config(args.config)
+        try:
+            config = load_config(args.config)
+        except ValueError as e:  # bad JSON, or a key config_from_dict rejects
+            raise SystemExit(f"invalid config: {e}") from None
     elif args.seed is not None:
         config = SimConfig(master_seed=args.seed)
     else:

@@ -43,17 +43,17 @@ def finalize_window(arrivals_regular: int, arrivals_attack: int,
                     completed: int, legit_expired: int,
                     norm_integral_regular: float, norm_integral_attack: float,
                     duration: float, epsilon_floor: float) -> WindowMetrics:
-    """Turn one window's deltas into a WindowMetrics.
+    """Turn one window's counts and integrals into a WindowMetrics.
 
-    The integrals are the increments of the engine's normalized occupancy
-    integrals over exactly this window.
+    The integrals are each class's occupancy / m integrated over exactly
+    this window.
     """
     if duration <= 0.0:
         raise ValueError("empty window")
     arrivals = arrivals_regular + arrivals_attack
     blocked = blocked_regular + blocked_attack
     ploss = blocked / arrivals if arrivals > 0 else 0.0
-    # accumulated n(t)/m(t) increments can overshoot the duration by a few ulp
+    # a sum of resident spans / m can overshoot the duration by a few ulp
     pr = min(norm_integral_regular / duration, 1.0)
     pa = min(norm_integral_attack / duration, 1.0)
     return WindowMetrics(
@@ -72,32 +72,15 @@ def finalize_window(arrivals_regular: int, arrivals_attack: int,
 
 
 def cumulative_metrics(windows: list[WindowMetrics], epsilon_floor: float) -> WindowMetrics:
-    """Aggregate per-window metrics over a whole run.
+    """Aggregate per-window metrics over a whole run, as one window.
 
-    Pr/Pa are duration-weighted averages; Ploss is the count-weighted
-    (i.e. overall blocked) fraction.
+    A window's integrals are Pr and Pa times its duration, so the run's Pr
+    and Pa are duration-weighted averages and its Ploss the overall blocked
+    fraction.
     """
     if not windows:
         raise ValueError("no windows to aggregate")
-    total_duration = sum(w.window_duration for w in windows)
-    ar = sum(w.arrivals_regular for w in windows)
-    aa = sum(w.arrivals_attack for w in windows)
-    br = sum(w.blocked_regular for w in windows)
-    ba = sum(w.blocked_attack for w in windows)
-    pr = min(sum(w.Pr * w.window_duration for w in windows) / total_duration, 1.0)
-    pa = min(sum(w.Pa * w.window_duration for w in windows) / total_duration, 1.0)
-    arrivals = ar + aa
-    ploss = (br + ba) / arrivals if arrivals > 0 else 0.0
-    return WindowMetrics(
-        arrivals_regular=ar,
-        arrivals_attack=aa,
-        blocked_regular=br,
-        blocked_attack=ba,
-        completed=sum(w.completed for w in windows),
-        legit_expired=sum(w.legit_expired for w in windows),
-        Ploss=ploss,
-        Pr=pr,
-        Pa=pa,
-        J=objective(pr, pa, ploss, epsilon_floor),
-        window_duration=total_duration,
-    )
+    rows = [(w.arrivals_regular, w.arrivals_attack, w.blocked_regular, w.blocked_attack,
+             w.completed, w.legit_expired, w.Pr * w.window_duration,
+             w.Pa * w.window_duration, w.window_duration) for w in windows]
+    return finalize_window(*map(sum, zip(*rows)), epsilon_floor)

@@ -67,6 +67,7 @@ def test_config_from_json_round_trip(tmp_path):
     assert cfg.master_seed == 42
     assert cfg.traffic.k == 0.5
     assert cfg.initial_params == DefenseParams(10.0, 64)
+    assert type(cfg.initial_params.h) is float  # an int h is loaded as a float
     # untouched fields keep their defaults
     assert cfg.epsilon_floor == 1e-6
     assert cfg.la_settings.h_actions[-1] == 75.0
@@ -94,6 +95,10 @@ def _la(**kw):
     return replace(BASE, la_settings=replace(BASE.la_settings, **kw))
 
 
+def _loaded(**doc):
+    return config_from_dict({"master_seed": 1, **doc})
+
+
 @pytest.mark.parametrize("config, field", [
     (_traffic(lambda1=NAN), "lambda1"),
     (_traffic(lambda1=INF), "lambda1"),
@@ -119,6 +124,16 @@ def _la(**kw):
     (replace(BASE, total_requests=5300), "total_requests"),  # 10.6 windows
     # arrival times past the largest float: every window's Pr, Pa and J would be nan
     (replace(_traffic(lambda1=1e-308, k=0.0), total_requests=4, window_size=4), "lambda1"),
+    # loaded values that are not numbers, or not grids, are kept for validation
+    (_loaded(initial_params={"h": True, "m": 128}), "h"),
+    (_loaded(initial_params={"h": "abc", "m": 128}), "h"),
+    (_loaded(initial_params={"h": None, "m": 128}), "h"),
+    (_loaded(initial_params={"h": [1], "m": 128}), "h"),
+    (_la(h_actions=5), "h_actions"),
+    (_la(m_actions=None), "m_actions"),
+    (_loaded(la_settings={"h_actions": 5}), "h_actions"),
+    (_loaded(initial_params={"h": 10**400, "m": 128}), "h"),  # past the float range
+    (_traffic(lambda1=10**400), "lambda1"),
 ])
 def test_bad_config_rejected_naming_the_field(config, field):
     violations = validate_config(config)

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from synsim.domain import DefenseParams, RequestClass, SimConfig, TrafficModel
-from synsim.engine import (ADMIT, DEP, EVENT_LABELS, HOLD_UNIT, SERVICE, BacklogState,
-                           _ExpStream, run_simulation, trace_events)
+from synsim.engine import (ADMIT, CLASS_LABEL, DEP, EVENT_LABELS, HOLD_UNIT, SERVICE,
+                           BacklogState, ConservationError, _ExpStream, run_simulation,
+                           trace_events)
 from synsim.harness import trace_ordering_ok, window_csv
 from synsim.oracle import erlang_b
 
@@ -161,8 +162,8 @@ def test_advance_to_accumulates_normalized_occupancy():
     state = make_state(m=128, mu=1e-9)  # no regular entry completes within 75 s
     arrive(state, [(REG, 0.0)] * 64 + [(ATT, 2.0)])
     assert state.integral[REG] == pytest.approx(1.0)
-    arrive(state, [(ATT, 2.0)])  # zero interval: no change
-    assert state.integral[REG] == pytest.approx(1.0)
+    arrive(state, [(ATT, 2.0)])  # a zero-length window integrates nothing
+    assert state.integral == [0.0, 0.0]
 
 
 def test_advance_to_symmetric_half_occupancy():
@@ -190,23 +191,21 @@ def reference_loop(windows, params, hold_mode, mu, seed):
     not earlier than it.  Arrival i of a window takes its service and hold
     units from column i of one (2, n) draw per window, admitted or not.
 
-    Returns the same observables as kernel_run; their integrals sum, per
-    window, each resident's time in it / m, in admission-number order with
-    the settle's reduction.  Also returns the integrals a per-event `+=`
-    of dt * occupancy / m builds."""
+    Returns the same observables as kernel_run; each window's integrals
+    sum each resident's time in it / m, in admission-number order with the
+    settle's reduction.  Also returns each window's integrals as a
+    per-event `+=` of dt * occupancy / m builds them."""
     rng = np.random.default_rng(seed)
     heap, trace, integrals, evictions, event_integrals = [], [], [], [], []
     occupancy, integral, clock = [0, 0], [0.0, 0.0], 0.0
-    span_integral = [0.0, 0.0]
     counts = {kind: [0, 0] for kind in ("blocked", "completed", "expired")}
 
     def settle(resident, start, until):
         spans = [(min(item[0], until) - max(item[4], start)) / params.m for item in resident]
         classes = np.array([item[2] for item in resident], np.intp)
-        added = np.bincount(classes, np.array(spans, float), minlength=2).tolist()
-        span_integral[:] = [total + x for total, x in zip(span_integral, added)]
-        integrals.append(list(span_integral))
+        integrals.append(np.bincount(classes, np.array(spans, float), minlength=2).tolist())
         event_integrals.append(list(integral))
+        integral[:] = [0.0, 0.0]
 
     def advance(t):
         nonlocal clock
@@ -396,6 +395,40 @@ def test_conservation_per_class(kind, hold_mode):
     assert t.arrivals[REG] + t.arrivals[ATT] == 5000
 
 
+def test_audit_catches_a_lost_record(monkeypatch):
+    # a departed record that depart never counts is gone from the records,
+    # so the residents no longer make up the admissions
+    pop_due = BacklogState.pop_due
+    monkeypatch.setattr(BacklogState, "pop_due", lambda state, until: pop_due(state, until)[:, 1:])
+    with pytest.raises(ConservationError, match="admitted != completed"):
+        run_simulation(cfg())
+
+
+def test_window_shares_are_exact_per_window():
+    # one-arrival windows: each window's Pr and Pa against the per-class
+    # occupancy replayed from the event trace, integrated per window by fsum
+    config = cfg(master_seed=2024, total_requests=4000, window_size=1,
+                 hold_mode="exponential", traffic=TrafficModel(lambda1=10.0, k=2.0, mu=100.0))
+    buf = io.StringIO()
+    report = run_simulation(config, event_trace=buf)
+    step = {"admit": 1, "block": 0, "complete": -1, "expire": -1}
+    occupancy, areas, start, clock, shares = [0, 0], [[], []], 0.0, 0.0, []
+    for line in buf.getvalue().splitlines():
+        t, kind, label = line.split("\t")[:3]
+        t = float(t)
+        for cls in (REG, ATT):
+            areas[cls].append(occupancy[cls] * (t - clock) / config.initial_params.m)
+        clock = t
+        occupancy[CLASS_LABEL.index(label)] += step[kind]
+        if kind in ("admit", "block"):  # a window ends at its one arrival
+            shares.append([min(math.fsum(area) / (t - start), 1.0) for area in areas])
+            areas, start = [[], []], t
+    assert len(shares) == len(report.windows) == 4000
+    for w, (pr, pa) in zip(report.windows, shares):
+        assert math.isclose(w.Pr, pr, rel_tol=1e-12)
+        assert math.isclose(w.Pa, pa, rel_tol=1e-12)
+
+
 def test_attack_entries_never_complete():
     report = run_simulation(cfg(controller_kind="la", total_requests=10000))
     assert report.totals.completed[ATT] == 0
@@ -507,25 +540,25 @@ def test_event_trace_occupancy_column_replays():
 # draw, and no entry reaches its exponential timeout in these 4000 arrivals.
 SAMPLE_PATH_SHA256 = {
     "static-deterministic-0.0":
-        "be2e40893e694f967b2ddf57822b1050b6a0abbcffae386868cdd26ba20b6d5c",
+        "7e03a885ee38afd98bf19b6e7423155730fcef200dfe44a4f04a0f17cd0894d1",
     "static-deterministic-2.0":
-        "579bb8e252b7b9e1cbb8f0edfb3ffefd0d15f725b3e1851332012b8a40ac30e4",
+        "5831d0897342d40e4ebd929d1e44dce33898548839560d0044ae0f4d513d2934",
     "static-exponential-0.0":
-        "be2e40893e694f967b2ddf57822b1050b6a0abbcffae386868cdd26ba20b6d5c",
+        "7e03a885ee38afd98bf19b6e7423155730fcef200dfe44a4f04a0f17cd0894d1",
     "static-exponential-2.0":
-        "3f43a7f2a4e829b8bf8f52ed0e84e84a17335a425147bcd2f2acd7fba5629515",
+        "aa25fe18e6ce5ec38dabd7a73de3aea831c862f22554fd281b3090d5f4c751da",
     "la-deterministic-0.0":
-        "e0523e255054f58c42923384fa5777ab3a21aa9fcf8c2e51ead4a03158dde1be",
+        "6f04f4079b0db0801ea80a7365b756e99f6f56ba4c09c0e64fdadbf65235eb11",
     "la-deterministic-2.0":
-        "7dbfdf5d8906046218911d9764785201603b825555fd6b4f1431abbe82284409",
+        "fe09ef5c3ba5f8e05fb6962921f9fe4c3b564f5070e0cd19336fe438464180ab",
     "la-exponential-0.0":
         "8748ed9c03fb85813711ed3d7c274a9780e2ef46f497adabcad5888602f9e513",
     "la-exponential-2.0":
-        "67ba1dd305d6a2b37365e63ea221bb772419b3a1bd090ff84dbd65ec1b644a96",
+        "713b5b4f2f7696cfe36cc41f7164687994b1708cbdb2cd1d803623be7144d570",
     "la-deterministic-2.0-overshoot":
-        "7e526525e2a8fa9a3690a3917d1d765909087faa0d905f4fcf7ad1a76eac3ef7",
+        "77d46aeafdcf4c8509227e77f68172789b7e78b4f8e00457351be276f2fbaccf",
     "la-exponential-2.0-window1":
-        "9240de332b9612d23264df5a42581ac01adba378cd33543bd6b104958d5d19bf",
+        "5327b8e3afe47f9ab9be29b68b4caa081c7a43110b570425288624d0fd440178",
 }
 CASE_CHANGES = {
     # m shrinks to 256 with 406 residents: they stay, over the new cap

@@ -142,6 +142,17 @@ def test_cli_run_with_config(tmp_path, capsys):
     assert "cumulative" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"initial_params": {"h": None, "m": 64}}, "h must be a finite number"),
+    ({"typo": 1}, "unknown config keys: \\['typo'\\]"),
+])
+def test_cli_run_names_a_bad_loaded_field(tmp_path, doc, message):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps({"master_seed": 7, **doc}), encoding="utf-8")
+    with pytest.raises(SystemExit, match=f"^invalid config: {message}"):
+        main(["run", "--config", str(config_path)])
+
+
 def test_cli_sweep(tmp_path):
     out = tmp_path / "sweep.csv"
     config_path = tmp_path / "cfg.json"
