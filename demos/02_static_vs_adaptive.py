@@ -17,7 +17,7 @@ def describe(tag, report):
     print(f"  regular share      Pr    = {c.Pr:.4f}")
     print(f"  attack share       Pa    = {c.Pa:.4f}")
     print(f"  objective          J     = {c.J:.3g}")
-    final = report.param_trajectory[-1][1]
+    final = report.param_trajectory[-1]
     print(f"  final params       h = {final.h}, m = {final.m}")
     print()
 

@@ -45,8 +45,6 @@ def feedback_signal(score, baseline) -> int:
 class StaticController:
     """Fixed (h, m) at every round; models the stock Linux configuration."""
 
-    kind = "static"
-
     def __init__(self, params: DefenseParams):
         self.params = params
 
@@ -68,15 +66,13 @@ class LaController:
     updated vectors (unfavorable).
     """
 
-    kind = "la"
-
     def __init__(self, settings: LaSettings):
         self.h_automaton = Automaton(settings.h_actions, settings.a, settings.b)
         self.m_automaton = Automaton(settings.m_actions, settings.a, settings.b)
         self.prev_score = _NO_SCORE
         self.current: DefenseParams | None = None
-        self.round = 0
-        self.trace: list[tuple[int, np.ndarray, np.ndarray]] = []
+        # (p_h, p_m) after each round; round r is at index r
+        self.trace: list[tuple[np.ndarray, np.ndarray]] = []
 
     def _sample(self, rng: np.random.Generator) -> DefenseParams:
         hi = self.h_automaton.select(rng)
@@ -85,8 +81,7 @@ class LaController:
                              self.m_automaton.actions[mi])
 
     def _record(self) -> None:
-        self.trace.append((self.round, self.h_automaton.p.copy(),
-                           self.m_automaton.p.copy()))
+        self.trace.append((self.h_automaton.p.copy(), self.m_automaton.p.copy()))
 
     def initial_params(self, rng: np.random.Generator) -> DefenseParams:
         self.current = self._sample(rng)
@@ -95,11 +90,6 @@ class LaController:
 
     def on_window_end(self, metrics: WindowMetrics,
                       rng: np.random.Generator) -> DefenseParams:
-        if self.current is None:
-            # round 0 without a prior initial_params call
-            params = self.initial_params(rng)
-            self.round += 1
-            return params
         score = window_score(metrics)
         beta = feedback_signal(score, self.prev_score)
         self.prev_score = score
@@ -113,7 +103,6 @@ class LaController:
             self.h_automaton.penalty(hi)
             self.m_automaton.penalty(mi)
             self.current = self._sample(rng)
-        self.round += 1
         self._record()
         return self.current
 

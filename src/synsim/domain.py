@@ -105,8 +105,8 @@ def _check_action_grid(name: str, grid, is_value, kind: str,
     if not isinstance(grid, Sequence):
         violations.append(f"{name} must be a sequence")
         return
-    if len(grid) == 0:
-        violations.append(f"{name} must be non-empty")
+    if len(grid) < 2:  # an automaton needs a choice to learn
+        violations.append(f"{name} must hold at least 2 actions")
         return
     if not all(is_value(v) for v in grid):
         violations.append(f"{name} values must be {kind}")

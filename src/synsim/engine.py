@@ -179,7 +179,7 @@ class RunTotals:
 @dataclass
 class SimReport:
     windows: list[WindowMetrics]
-    param_trajectory: list[tuple[int, DefenseParams]]
+    param_trajectory: list[DefenseParams]  # window i ran under entry i
     cumulative: WindowMetrics
     totals: RunTotals
 
@@ -409,7 +409,7 @@ def run_simulation(config: SimConfig, controller=None, seed: int | None = None,
     wsize = config.window_size
     n_windows = config.total_requests // wsize
     windows: list[WindowMetrics] = []
-    trajectory: list[tuple[int, DefenseParams]] = [(0, params)]
+    trajectory = [params]
     counts_start, t_start = state.window_counters(), 0.0
 
     arrivals = _Arrivals(reg_stream, att_stream)
@@ -436,7 +436,7 @@ def run_simulation(config: SimConfig, controller=None, seed: int | None = None,
                 suffix = f"\t{new_params.m}\t{new_params.h!r}\n"
                 lines.append(f"{t_last!r}\tparams\t-\t{sum(state.occupancy)}{suffix}")
             params = new_params
-            trajectory.append((window, params))
+            trajectory.append(params)
         if trace:
             trace.write("".join(lines))
             lines.clear()

@@ -25,6 +25,7 @@ WINDOW_COLUMNS = ("window_index", "k", "controller", "h", "m",
                   "arrivals_regular", "arrivals_attack", "blocked_regular",
                   "blocked_attack", "completed", "legit_expired",
                   "Ploss", "Pr", "Pa", "J")
+LA_TRACE_COLUMNS = ("round", "automaton", "action_index", "action_value", "probability")
 SWEEP_COLUMNS = ("k", "seed", "controller", "Ploss", "Pr", "Pa", "J",
                  "mean_h", "mean_m", "legit_expired_fraction")
 
@@ -36,37 +37,35 @@ def _fmt(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
+def _csv(columns, rows) -> str:
+    """CSV text: the header, then one line per row."""
+    lines = [",".join(columns)]
+    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
 def window_csv(config: SimConfig, report) -> str:
     """Per-window CSV for one run (exact column order per the interface)."""
-    params = dict(report.param_trajectory)
-    buf = io.StringIO()
-    buf.write(",".join(WINDOW_COLUMNS) + "\n")
-    for idx, w in enumerate(report.windows):
-        p = params[idx]
-        row = (idx, config.traffic.k, config.controller_kind, p.h, p.m,
-               w.arrivals_regular, w.arrivals_attack, w.blocked_regular,
-               w.blocked_attack, w.completed, w.legit_expired,
-               w.Ploss, w.Pr, w.Pa, w.J)
-        buf.write(",".join(_fmt(v) for v in row) + "\n")
-    return buf.getvalue()
+    k, kind = config.traffic.k, config.controller_kind
+    return _csv(WINDOW_COLUMNS, (
+        (idx, k, kind, p.h, p.m, w.arrivals_regular, w.arrivals_attack,
+         w.blocked_regular, w.blocked_attack, w.completed, w.legit_expired,
+         w.Ploss, w.Pr, w.Pa, w.J)
+        for idx, (w, p) in enumerate(zip(report.windows, report.param_trajectory))))
 
 
 def la_trace_csv(controller: LaController) -> str:
     """Long-format probability-vector trace for both automata."""
-    buf = io.StringIO()
-    buf.write("round,automaton,action_index,action_value,probability\n")
-    for rnd, ph, pm in controller.trace:
-        for i, prob in enumerate(ph):
-            buf.write(f"{rnd},h,{i},{_fmt(controller.h_automaton.actions[i])},"
-                      f"{prob!r}\n")
-        for i, prob in enumerate(pm):
-            buf.write(f"{rnd},m,{i},{_fmt(controller.m_automaton.actions[i])},"
-                      f"{prob!r}\n")
-    return buf.getvalue()
+    automata = (("h", controller.h_automaton), ("m", controller.m_automaton))
+    return _csv(LA_TRACE_COLUMNS, (
+        (rnd, name, i, automaton.actions[i], prob)
+        for rnd, vectors in enumerate(controller.trace)
+        for (name, automaton), p in zip(automata, vectors)
+        for i, prob in enumerate(p.tolist())))
 
 
-def run_single(config: SimConfig, seed: int | None = None,
-               out_path: str | None = None, la_trace_path: str | None = None,
+def run_single(config: SimConfig, out_path: str | None = None,
+               la_trace_path: str | None = None,
                event_trace_path: str | None = None, quiet: bool = False):
     """Run one simulation; write the window CSV and optional traces."""
     controller = make_controller(config)
@@ -74,8 +73,7 @@ def run_single(config: SimConfig, seed: int | None = None,
         raise ValueError("--la-trace requires the la controller")
     trace_file = open(event_trace_path, "w") if event_trace_path else None
     try:
-        report = run_simulation(config, controller=controller, seed=seed,
-                                event_trace=trace_file)
+        report = run_simulation(config, controller=controller, event_trace=trace_file)
     finally:
         if trace_file:
             trace_file.close()
@@ -110,29 +108,23 @@ class SweepSpec:
             raise ValueError("controllers must be a subset of {static, la}")
 
 
-def _cell_config(spec: SweepSpec, k: float, seed: int, kind: str) -> SimConfig:
-    base = spec.base_config
-    return replace(base, traffic=replace(base.traffic, k=k),
-                   controller_kind=kind, master_seed=seed)
-
-
-def _run_cell(args):
-    spec, k, seed, kind = args
-    config = _cell_config(spec, k, seed, kind)
+def _run_cell(config: SimConfig):
     report = run_simulation(config)
-    traj = [p for _, p in report.param_trajectory]
+    traj = report.param_trajectory
     mean_h = sum(p.h for p in traj) / len(traj)
     mean_m = sum(p.m for p in traj) / len(traj)
     c = report.cumulative
-    return (k, seed, kind, c.Ploss, c.Pr, c.Pa, c.J, mean_h, mean_m,
-            report.legit_expired_fraction)
+    return (config.traffic.k, config.master_seed, config.controller_kind,
+            c.Ploss, c.Pr, c.Pa, c.J, mean_h, mean_m, report.legit_expired_fraction)
 
 
 def run_sweep(spec: SweepSpec, out_path: str | None = None,
               workers: int | None = None) -> str:
     """One row per (k, seed, controller), sorted, as CSV text."""
-    cells = [(spec, k, seed, kind) for k in spec.k_values
-             for seed in spec.seeds for kind in spec.controllers]
+    base = spec.base_config
+    cells = [replace(base, traffic=replace(base.traffic, k=k),
+                     controller_kind=kind, master_seed=seed)
+             for k in spec.k_values for seed in spec.seeds for kind in spec.controllers]
     if workers is None:
         workers = min(len(cells), os.cpu_count() or 1)
     if workers > 1 and len(cells) > 1:
@@ -141,11 +133,7 @@ def run_sweep(spec: SweepSpec, out_path: str | None = None,
     else:
         rows = [_run_cell(c) for c in cells]
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    buf = io.StringIO()
-    buf.write(",".join(SWEEP_COLUMNS) + "\n")
-    for row in rows:
-        buf.write(",".join(_fmt(v) for v in row) + "\n")
-    text = buf.getvalue()
+    text = _csv(SWEEP_COLUMNS, rows)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as f:
             f.write(text)

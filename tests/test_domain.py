@@ -134,6 +134,13 @@ def _loaded(**doc):
     (_loaded(la_settings={"h_actions": 5}), "h_actions"),
     (_loaded(initial_params={"h": 10**400, "m": 128}), "h"),  # past the float range
     (_traffic(lambda1=10**400), "lambda1"),
+    (_la(h_actions=(5.0,)), "h_actions"),
+    (_la(m_actions=(64,)), "m_actions"),
+    (_la(h_actions=()), "h_actions"),
+    (_la(m_actions=(0, 64)), "m_actions"),
+    (_la(h_actions=(1.0, 0.5)), "h_actions"),
+    (_la(a=1.0), "reward step a"),
+    (_la(b=1.0), "penalty step b"),
 ])
 def test_bad_config_rejected_naming_the_field(config, field):
     violations = validate_config(config)

@@ -595,7 +595,7 @@ def test_no_params_change_after_the_last_window():
     last_arrival = max(i for i, row in enumerate(rows) if row[1] in ("admit", "block"))
     drain = rows[last_arrival + 1:]
     assert drain and all(row[1] in ("complete", "expire") for row in drain)
-    _, last = report.param_trajectory[-1]
+    last = report.param_trajectory[-1]
     assert {(int(row[4]), float(row[5])) for row in drain} == {(last.m, last.h)}
 
 

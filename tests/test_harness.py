@@ -7,8 +7,9 @@ import pytest
 
 from synsim import harness, oracle
 from synsim.domain import DefenseParams, SimConfig, TrafficModel
-from synsim.harness import (DEFAULT_K_VALUES, SWEEP_COLUMNS, WINDOW_COLUMNS, SweepSpec, main,
-                            run_single, run_sweep, run_validate)
+from synsim.engine import run_simulation
+from synsim.harness import (DEFAULT_K_VALUES, LA_TRACE_COLUMNS, SWEEP_COLUMNS, WINDOW_COLUMNS,
+                            SweepSpec, main, run_single, run_sweep, run_validate)
 from synsim.oracle import ORACLE_CASES
 
 
@@ -58,6 +59,20 @@ def test_la_trace_emitted_for_la_controller(tmp_path):
     assert max(int(r["round"]) for r in rows) == 4
 
 
+def test_la_trace_probabilities_are_floats_summing_to_one(tmp_path):
+    trace = tmp_path / "trace.csv"
+    run_single(cfg(controller_kind="la", traffic=TrafficModel(lambda1=10, k=2, mu=100)),
+               la_trace_path=str(trace), quiet=True)
+    rows = list(csv.DictReader(trace.read_text().splitlines()))
+    assert list(rows[0]) == list(LA_TRACE_COLUMNS)
+    sums = {}
+    for r in rows:
+        key = (int(r["round"]), r["automaton"])
+        sums[key] = sums.get(key, 0.0) + float(r["probability"])
+    assert len(sums) == 2 * 5  # round 0 plus one per window, for h and m
+    assert all(abs(total - 1.0) <= 1e-9 for total in sums.values())
+
+
 def test_la_trace_rejected_for_static(tmp_path):
     # checked before the run, so no output is written
     paths = {name: tmp_path / name for name in ("w.csv", "la.csv", "ev.tsv")}
@@ -91,6 +106,21 @@ def test_sweep_static_rows_report_fixed_params():
     rows = list(csv.DictReader(io.StringIO(run_sweep(spec, workers=1))))
     assert float(rows[0]["mean_h"]) == 75.0
     assert float(rows[0]["mean_m"]) == 128.0
+
+
+def test_sweep_row_matches_a_run_of_its_cell():
+    base = cfg(traffic=TrafficModel(lambda1=10, k=1, mu=100))
+    spec = SweepSpec(base_config=base, k_values=(2.0,), seeds=(4,), controllers=("la",))
+    [row] = csv.DictReader(io.StringIO(run_sweep(spec, workers=1)))
+    config = replace(base, traffic=replace(base.traffic, k=2.0), controller_kind="la",
+                     master_seed=4)
+    report = run_simulation(config)
+    windows = list(csv.DictReader(io.StringIO(harness.window_csv(config, report))))
+    assert (float(row["k"]), int(row["seed"]), row["controller"]) == (2.0, 4, "la")
+    assert float(row["mean_h"]) == sum(float(w["h"]) for w in windows) / len(windows)
+    assert float(row["mean_m"]) == sum(int(w["m"]) for w in windows) / len(windows)
+    c = report.cumulative
+    assert [float(row[f]) for f in ("Ploss", "Pr", "Pa", "J")] == [c.Ploss, c.Pr, c.Pa, c.J]
 
 
 def test_sweep_spec_rejects_bad_inputs():
