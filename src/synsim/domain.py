@@ -69,7 +69,6 @@ class SimConfig:
         default_factory=lambda: DefenseParams(75.0, 128))
     la_settings: LaSettings = field(default_factory=LaSettings)
     hold_mode: str = "deterministic"            # "deterministic" | "exponential"
-    epsilon_floor: float = 1e-6
 
 
 def _is_int(value) -> bool:
@@ -82,6 +81,11 @@ def _is_finite(value) -> bool:
                 and math.isfinite(value))
     except OverflowError:  # an int past the float range
         return False
+
+
+def _as_float(value):
+    """value as a float if it is a finite real number, else as it is."""
+    return float(value) if _is_finite(value) else value
 
 
 def _number(name: str, value, violations: list[str]) -> bool:
@@ -150,8 +154,6 @@ def validate_config(config: SimConfig) -> list[str]:
             v.append("window exceeds total requests")
         elif total_ok and config.total_requests % config.window_size:
             v.append("total_requests must be a multiple of window_size")
-    if _number("epsilon_floor", config.epsilon_floor, v) and config.epsilon_floor <= 0:
-        v.append("epsilon_floor must be strictly positive")
     if config.controller_kind not in ("static", "la"):
         v.append("controller_kind must be 'static' or 'la'")
     if config.hold_mode not in ("deterministic", "exponential"):
@@ -190,8 +192,9 @@ def config_from_dict(data: dict) -> SimConfig:
 
     Every key is optional except master_seed; keys mirror the field names.
     Unknown or missing keys, nested ones included, raise ValueError.  A
-    finite number h becomes a float and a list grid a tuple; any other value
-    is kept as it is, for validate_config to report.
+    finite number h, initial or in the h grid, becomes a float and a list
+    grid a tuple; any other value is kept as it is, for validate_config to
+    report.
     """
     kwargs = _keys(SimConfig, data, "config")
     if "traffic" in kwargs:
@@ -199,13 +202,13 @@ def config_from_dict(data: dict) -> SimConfig:
         kwargs["traffic"] = TrafficModel(**traffic)
     if "initial_params" in kwargs:
         ip = _keys(DefenseParams, kwargs["initial_params"], "initial_params")
-        h = ip["h"]
-        kwargs["initial_params"] = DefenseParams(float(h) if _is_finite(h) else h, ip["m"])
+        kwargs["initial_params"] = DefenseParams(_as_float(ip["h"]), ip["m"])
     if "la_settings" in kwargs:
         ls = _keys(LaSettings, kwargs["la_settings"], "la_settings")
-        for key in ("h_actions", "m_actions"):
-            if isinstance(ls.get(key), list):
-                ls[key] = tuple(ls[key])
+        if isinstance(ls.get("h_actions"), list):
+            ls["h_actions"] = tuple(map(_as_float, ls["h_actions"]))
+        if isinstance(ls.get("m_actions"), list):
+            ls["m_actions"] = tuple(ls["m_actions"])
         kwargs["la_settings"] = LaSettings(**ls)
     return SimConfig(**kwargs)
 

@@ -29,7 +29,8 @@ for occupancy - m + 1 departures.  h is constant within a window, so each
 arrival's departure time, were it admitted, is computed for the whole window
 in numpy (offered) before admission runs.  The run loop then makes one call
 per arrival, admit_or_block: one compare and, on admission, one heapreplace;
-nothing else runs per arrival.
+nothing else runs per arrival.  Its answers are read once into the window's
+admission mask, which the settle and the event trace share.
 
 Departures: the settle.  Once per window, advance_to keeps the admitted
 columns of the offered records as new residents and takes out the
@@ -47,18 +48,18 @@ Bookkeeping keeps one representation per concept.  Every per-class count
 pair indexed by the RequestClass int, and each resident is one column of a
 records array, so the occupancy is a count of the records.  The run audit
 compares three tallies kept apart: admissions from admit_or_block's
-outcomes, departures from depart, and the residents still in the records.
+answers, departures from depart, and the residents still in the records.
 
-Each arrival stream is sampled 8192 gaps at a time and read as absolute
-times, one np.cumsum per block (the same left-to-right sums as adding one
-gap at a time).  A run is a whole number of windows, so every arrival
-lands in one.
+Each arrival stream is sampled 8192 gaps at a time and keeps its unread
+absolute times, one np.cumsum per block (the same left-to-right sums as
+adding one gap at a time).  A window of n arrivals merges the two streams'
+next n times and takes the n earliest.  A run is a whole number of windows,
+so every arrival lands in one.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 from heapq import heapreplace
 
@@ -79,39 +80,43 @@ EVENT_LABELS = tuple(f"{kind}\t{label}" for kind in ("admit", "block", "complete
 # columns of a resident record; COMPLETE is 1.0 when the entry will complete
 ADMIT, CLS, SERVICE, HOLD_UNIT, DEP, COMPLETE = range(6)
 _NO_RECORDS = np.empty((6, 0))
+_NO_ARRIVALS = np.empty(0, bool)  # the admission mask of no arrivals
 
 
 class _ExpStream:
     """Blockwise exponential sampler; rate 0 never fires.
 
-    draw() returns the next block of gaps.  times() yields them as absolute
-    times: the running left-to-right sum of the gaps, one np.cumsum per
-    block, bit for bit the sum `t = t + gap` builds.  A sum past the largest
-    float is inf, so a rate too small to fire again within the float range
-    never fires again, as rate 0 never fires.
+    draw() returns the next block of gaps.  unread holds the absolute times
+    not taken yet: the running left-to-right sum of the gaps, one np.cumsum
+    per block, bit for bit the sum `t = t + gap` builds.  A sum past the
+    largest float is inf, so a rate too small to fire again within the float
+    range never fires again, as rate 0 never fires.
     """
 
-    __slots__ = ("rng", "rate", "block")
+    __slots__ = ("rng", "rate", "block", "unread", "last")
 
     def __init__(self, rng: np.random.Generator, rate: float, block: int = 8192):
         self.rng = rng
         self.rate = rate
         self.block = block
+        self.unread = np.empty(0)
+        self.last = 0.0  # the latest time drawn
 
     def draw(self) -> np.ndarray:
         if self.rate > 0:
             return self.rng.exponential(1.0 / self.rate, self.block)
         return np.full(self.block, _INF)
 
-    def times(self) -> Iterator[np.ndarray]:
-        t = 0.0
-        while True:
+    def head(self, n: int) -> np.ndarray:
+        """The next n times, without taking them."""
+        while len(self.unread) < n:
             gaps = self.draw()
             with np.errstate(over="ignore"):
-                gaps[0] += t  # the block's first sum starts from the last time
+                gaps[0] += self.last  # the block's first sum starts from the last time
                 block = np.cumsum(gaps)
-            yield block
-            t = block[-1]
+            self.unread = np.concatenate((self.unread, block))
+            self.last = block[-1]
+        return self.unread[:n]
 
 
 def _per_class(classes: np.ndarray) -> list[int]:
@@ -120,33 +125,16 @@ def _per_class(classes: np.ndarray) -> list[int]:
     return [len(classes) - n_attack, n_attack]
 
 
-class _Arrivals:
-    """The two streams merged in time order, read one window at a time.
-
-    A regular arrival goes first on a tie.  Each stream keeps the times not
-    read yet; a window of n takes the n earliest of both streams' next n.
-    """
-
-    def __init__(self, regular: _ExpStream, attack: _ExpStream):
-        self.blocks = (regular.times(), attack.times())
-        self.unread = [np.empty(0), np.empty(0)]
-
-    def _head(self, cls: int, n: int) -> np.ndarray:
-        unread = self.unread[cls]
-        while len(unread) < n:
-            unread = np.concatenate((unread, next(self.blocks[cls])))
-        self.unread[cls] = unread
-        return unread[:n]
-
-    def take(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Times and classes (0 regular, 1 attack) of the next n arrivals."""
-        both = np.concatenate((self._head(0, n), self._head(1, n)))
-        order = np.argsort(both, kind="stable")[:n]  # stable: regular first on a tie
-        classes = (order >= n).view(np.int8)
-        n_regular, n_attack = _per_class(classes)
-        self.unread[0] = self.unread[0][n_regular:]
-        self.unread[1] = self.unread[1][n_attack:]
-        return both[order], classes
+def _take(regular: _ExpStream, attack: _ExpStream, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Times and classes (0 regular, 1 attack) of the next n arrivals of the
+    two streams merged in time order; a regular arrival goes first on a tie."""
+    both = np.concatenate((regular.head(n), attack.head(n)))
+    order = np.argsort(both, kind="stable")[:n]  # stable: regular first on a tie
+    classes = (order >= n).view(np.int8)
+    n_regular, n_attack = _per_class(classes)
+    regular.unread = regular.unread[n_regular:]
+    attack.unread = attack.unread[n_attack:]
+    return both[order], classes
 
 
 def _schedule(records: np.ndarray, h: float) -> None:
@@ -272,17 +260,16 @@ class BacklogState:
     # -- time ------------------------------------------------------------
 
     def advance_to(self, until: float, offered: np.ndarray = _NO_RECORDS,
-                   outcomes: list = ()) -> np.ndarray:
+                   admitted: np.ndarray = _NO_ARRIVALS) -> np.ndarray:
         """Settle the window whose last arrival is at until; until=inf drains.
 
-        offered (the window's records) and outcomes (admit_or_block's
-        answers) are the window's arrivals.  Counts them, keeps the admitted
-        records as residents, sets integral to each class's occupancy / m
-        integral over [clock, until] and takes out the departures due.
-        Returns the records taken out, in admission order.
+        offered (the window's records) and admitted (admit_or_block's
+        answers as a mask) are the window's arrivals.  Counts them, keeps the
+        admitted records as residents, sets integral to each class's
+        occupancy / m integral over [clock, until] and takes out the
+        departures due.  Returns the records taken out, in admission order.
         """
         classes = offered[CLS]
-        admitted = np.fromiter(outcomes, bool, len(classes))  # None, a block, is False
         arrivals, admits = _per_class(classes), _per_class(classes[admitted])
         for cls in (0, 1):
             self.arrivals[cls] += arrivals[cls]
@@ -329,11 +316,11 @@ class BacklogState:
 
 
 def trace_events(departed: np.ndarray, occupancy: int, offered: np.ndarray = _NO_RECORDS,
-                 outcomes: list = ()) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                 admitted: np.ndarray = _NO_ARRIVALS) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A settle's events in trace order: their times, their codes (2 * kind +
     class; kind 0-3 is admit, block, complete, expire) and the occupancy after
     each.  departed is what advance_to returned, occupancy the total after it,
-    and offered and outcomes are advance_to's arguments.
+    and offered and admitted are advance_to's arguments.
 
     Each departure goes just before the first arrival not earlier than it, so
     a departure comes first on a tie, and departures go in (time, admission
@@ -341,7 +328,6 @@ def trace_events(departed: np.ndarray, occupancy: int, offered: np.ndarray = _NO
     past its admission, so it follows it; this assumes no two arrivals share
     an instant, which has probability 0.
     """
-    admitted = np.fromiter(outcomes, bool, offered.shape[1])
     dep, times = departed[DEP], offered[ADMIT]
     key = dep.copy()
     zero = dep == departed[ADMIT]
@@ -355,10 +341,10 @@ def trace_events(departed: np.ndarray, occupancy: int, offered: np.ndarray = _NO
     return t[order], (2 * kind + cls).astype(np.intp), after
 
 
-def _trace_lines(suffix: str, *settle) -> list[str]:
+def _trace_lines(suffix: str, *settle) -> str:
     """The lines of trace_events(*settle), each ending in suffix."""
     events = (x.tolist() for x in trace_events(*settle))
-    return [f"{t!r}\t{EVENT_LABELS[code]}\t{n}{suffix}" for t, code, n in zip(*events)]
+    return "".join([f"{t!r}\t{EVENT_LABELS[code]}\t{n}{suffix}" for t, code, n in zip(*events)])
 
 
 class ConservationError(AssertionError):
@@ -402,8 +388,6 @@ def run_simulation(config: SimConfig, controller=None, seed: int | None = None,
     params = controller.initial_params(rng_la)
     state = BacklogState(params, config.hold_mode, traffic.mu, rng_life)
 
-    trace = event_trace
-    lines: list[str] = []  # trace lines of the current window, one write each
     suffix = f"\t{params.m}\t{params.h!r}\n"  # the m and h columns
 
     wsize = config.window_size
@@ -412,39 +396,38 @@ def run_simulation(config: SimConfig, controller=None, seed: int | None = None,
     trajectory = [params]
     counts_start, t_start = state.window_counters(), 0.0
 
-    arrivals = _Arrivals(reg_stream, att_stream)
     admit_or_block, advance_to = state.admit_or_block, state.advance_to
 
     for window in range(1, n_windows + 1):
-        times, classes = arrivals.take(wsize)
+        times, classes = _take(reg_stream, att_stream, wsize)
         offered = state.offered(times, classes)
-        outcomes = list(map(admit_or_block, offered[DEP].tolist(), times.tolist()))
+        # the admission mask: True admitted, None (a block) False
+        admitted = np.fromiter(map(admit_or_block, offered[DEP].tolist(), times.tolist()),
+                               bool, wsize)
         t_last = float(times[-1])
-        departed = advance_to(t_last, offered, outcomes)
-        if trace:
-            lines += _trace_lines(suffix, departed, sum(state.occupancy), offered, outcomes)
+        departed = advance_to(t_last, offered, admitted)
+        if event_trace:
+            event_trace.write(_trace_lines(suffix, departed, sum(state.occupancy),
+                                           offered, admitted))
 
         counts_end = state.window_counters()
         wm = finalize_window(*(e - s for e, s in zip(counts_end, counts_start)),
-                             *state.integral, t_last - t_start, config.epsilon_floor)
+                             *state.integral, t_last - t_start)
         windows.append(wm)
         counts_start, t_start = counts_end, t_last
         new_params = controller.on_window_end(wm, rng_la)
         if window < n_windows:  # no window is left to act on the last answer
             state.apply_defense_params(new_params, t_last)
-            if new_params != params and trace:
+            if new_params != params and event_trace:
                 suffix = f"\t{new_params.m}\t{new_params.h!r}\n"
-                lines.append(f"{t_last!r}\tparams\t-\t{sum(state.occupancy)}{suffix}")
+                event_trace.write(f"{t_last!r}\tparams\t-\t{sum(state.occupancy)}{suffix}")
             params = new_params
             trajectory.append(params)
-        if trace:
-            trace.write("".join(lines))
-            lines.clear()
 
     # drain all residents after the last arrival
     departed = advance_to(_INF)
-    if trace:
-        trace.write("".join(_trace_lines(suffix, departed, 0)))
+    if event_trace:
+        event_trace.write(_trace_lines(suffix, departed, 0))
 
     totals = RunTotals(*(dict(zip(RequestClass, pair)) for pair in (
         state.arrivals, state.admitted, state.blocked, state.completed, state.expired,
@@ -452,5 +435,5 @@ def run_simulation(config: SimConfig, controller=None, seed: int | None = None,
     _audit(totals)
 
     return SimReport(windows=windows, param_trajectory=trajectory,
-                     cumulative=cumulative_metrics(windows, config.epsilon_floor),
+                     cumulative=cumulative_metrics(windows),
                      totals=totals)

@@ -99,8 +99,8 @@ class SweepSpec:
     controllers: tuple[str, ...] = ("static", "la")
 
     def __post_init__(self):
-        if not self.k_values or any(k < 0 for k in self.k_values):
-            raise ValueError("k_values must be non-empty and non-negative")
+        if not self.k_values or not all(math.isfinite(k) and k >= 0 for k in self.k_values):
+            raise ValueError("k_values must be non-empty, finite and non-negative")
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
         if not self.controllers or any(c not in ("static", "la")
@@ -125,8 +125,10 @@ def run_sweep(spec: SweepSpec, out_path: str | None = None,
     cells = [replace(base, traffic=replace(base.traffic, k=k),
                      controller_kind=kind, master_seed=seed)
              for k in spec.k_values for seed in spec.seeds for kind in spec.controllers]
-    if workers is None:
-        workers = min(len(cells), os.cpu_count() or 1)
+    if workers is None:  # the CPUs this process may run on
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        workers = min(len(cells), cpus)
     if workers > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_cell, cells, chunksize=1))
@@ -284,6 +286,19 @@ def _load(args) -> SimConfig:
     return config
 
 
+def _k_list(text: str) -> tuple[float, ...]:
+    """--k's comma list of attack ratios, each finite and non-negative."""
+    try:
+        ks = tuple(map(float, text.split(",")))
+        ok = all(math.isfinite(k) and k >= 0 for k in ks)
+    except ValueError:  # an empty item or a non-number
+        ok = False
+    if not ok:
+        raise argparse.ArgumentTypeError(
+            f"must be a comma list of finite non-negative numbers, not {text!r}")
+    return ks
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="synsim",
@@ -297,10 +312,8 @@ def main(argv=None) -> int:
 
     p_sweep = sub.add_parser("sweep", help="k-sweep over seeds and controllers")
     _add_shared_flags(p_sweep)
-    k_min, k_next, k_max = DEFAULT_K_VALUES[0], DEFAULT_K_VALUES[1], DEFAULT_K_VALUES[-1]
-    p_sweep.add_argument("--k-min", type=float, default=k_min)
-    p_sweep.add_argument("--k-max", type=float, default=k_max)
-    p_sweep.add_argument("--k-step", type=float, default=k_next - k_min)
+    p_sweep.add_argument("--k", type=_k_list, default=SweepSpec.k_values,
+                         help="comma list of attack ratios")
     p_sweep.add_argument("--seeds", type=int, default=len(SweepSpec.seeds),
                          help="number of replicate seeds")
     p_sweep.add_argument("--controllers", default=",".join(SweepSpec.controllers))
@@ -319,12 +332,8 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "sweep":
-        if not (args.k_step > 0 and args.k_max >= args.k_min):
-            p_sweep.error("--k-step must be positive and --k-max at least --k-min")
         base = _load(args)
-        n_steps = int(round((args.k_max - args.k_min) / args.k_step)) + 1
-        spec = SweepSpec(base_config=base,
-                         k_values=tuple(args.k_min + i * args.k_step for i in range(n_steps)),
+        spec = SweepSpec(base_config=base, k_values=args.k,
                          seeds=tuple(base.master_seed + i for i in range(args.seeds)),
                          controllers=tuple(args.controllers.split(",")))
         text = run_sweep(spec, out_path=args.out, workers=args.workers)

@@ -3,14 +3,14 @@
 Pr and Pa are time-weighted occupancy shares: the integral of n(t)/m(t)
 over the window, divided by the window duration.  Ploss is the blocked
 fraction of arrivals.  The objective J = Pr / (Pa * Ploss) with every
-factor floored at epsilon so the no-attack case stays finite.
+factor floored at EPSILON_FLOOR so the no-attack case stays finite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-J_CAP = 1e18
+EPSILON_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -28,21 +28,21 @@ class WindowMetrics:
     window_duration: float
 
 
-def objective(Pr: float, Pa: float, Ploss: float, epsilon_floor: float) -> float:
-    """J = max(Pr, eps) / (max(Pa, eps) * max(Ploss, eps)), capped at 1e18.
+def objective(Pr: float, Pa: float, Ploss: float) -> float:
+    """J = max(Pr, eps) / (max(Pa, eps) * max(Ploss, eps)), eps = EPSILON_FLOOR.
 
     Floor-then-divide keeps comparisons total: a zero-attack window yields
-    a large finite J rather than infinity.
+    a large finite J (at most 1 / eps**2 for Pr <= 1) rather than infinity.
     """
-    j = max(Pr, epsilon_floor) / (max(Pa, epsilon_floor) * max(Ploss, epsilon_floor))
-    return min(j, J_CAP)
+    eps = EPSILON_FLOOR
+    return max(Pr, eps) / (max(Pa, eps) * max(Ploss, eps))
 
 
 def finalize_window(arrivals_regular: int, arrivals_attack: int,
                     blocked_regular: int, blocked_attack: int,
                     completed: int, legit_expired: int,
                     norm_integral_regular: float, norm_integral_attack: float,
-                    duration: float, epsilon_floor: float) -> WindowMetrics:
+                    duration: float) -> WindowMetrics:
     """Turn one window's counts and integrals into a WindowMetrics.
 
     The integrals are each class's occupancy / m integrated over exactly
@@ -66,12 +66,12 @@ def finalize_window(arrivals_regular: int, arrivals_attack: int,
         Ploss=ploss,
         Pr=pr,
         Pa=pa,
-        J=objective(pr, pa, ploss, epsilon_floor),
+        J=objective(pr, pa, ploss),
         window_duration=duration,
     )
 
 
-def cumulative_metrics(windows: list[WindowMetrics], epsilon_floor: float) -> WindowMetrics:
+def cumulative_metrics(windows: list[WindowMetrics]) -> WindowMetrics:
     """Aggregate per-window metrics over a whole run, as one window.
 
     A window's integrals are Pr and Pa times its duration, so the run's Pr
@@ -83,4 +83,4 @@ def cumulative_metrics(windows: list[WindowMetrics], epsilon_floor: float) -> Wi
     rows = [(w.arrivals_regular, w.arrivals_attack, w.blocked_regular, w.blocked_attack,
              w.completed, w.legit_expired, w.Pr * w.window_duration,
              w.Pa * w.window_duration, w.window_duration) for w in windows]
-    return finalize_window(*map(sum, zip(*rows)), epsilon_floor)
+    return finalize_window(*map(sum, zip(*rows)))

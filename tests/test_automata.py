@@ -64,6 +64,22 @@ def test_feedback_for_unselected_action_rejected():
         auto.penalty(1)
 
 
+@pytest.mark.parametrize("actions, a, b, p, message", [
+    ((1.0,), 0.1, 0.05, None, "at least 2 actions"),
+    ((1.0, 2.0), 0.0, 0.05, None, "reward step a"),
+    ((1.0, 2.0), 1.0, 0.05, None, "reward step a"),
+    ((1.0, 2.0), 0.1, -0.1, None, "penalty step b"),
+    ((1.0, 2.0), 0.1, 1.0, None, "penalty step b"),
+    ((1.0, 2.0), 0.1, 0.05, [1.0], "distribution"),
+    ((1.0, 2.0), 0.1, 0.05, [0.6, 0.6], "distribution"),
+    ((1.0, 2.0), 0.1, 0.05, [1.5, -0.5], "distribution"),
+], ids=["one action", "a=0", "a=1", "b<0", "b=1", "p too short", "p sums past 1",
+        "p negative"])
+def test_bad_automaton_rejected(actions, a, b, p, message):
+    with pytest.raises(ValueError, match=message):
+        Automaton(actions, a=a, b=b, p=p)
+
+
 def test_select_degenerate_distribution():
     auto = make([1.0, 0.0, 0.0])
     rng = np.random.default_rng(0)

@@ -154,7 +154,7 @@ def test_la_finds_synthetic_optimum():
     assert modal_m_hits >= 30
 
 
-def closed_form_window(h, m, k, n=500, eps=1e-6):
+def closed_form_window(h, m, k, n=500):
     # a window of n arrivals at the Erlang loss steady state of (h, m, k),
     # with the blocked count rounded to whole arrivals
     s = steady_state(SimConfig(master_seed=0, traffic=TrafficModel(k=k),
@@ -162,7 +162,7 @@ def closed_form_window(h, m, k, n=500, eps=1e-6):
     blocked = round(n * s.Ploss)
     ploss = blocked / n
     return WindowMetrics(n, 0, blocked, 0, 0, 0, ploss, s.Pr, s.Pa,
-                         objective(s.Pr, s.Pa, ploss, eps), 1.0)
+                         objective(s.Pr, s.Pa, ploss), 1.0)
 
 
 def rate_weighted_means(k):

@@ -34,8 +34,7 @@ def test_window_larger_than_run_rejected():
 
 def test_all_violations_reported_not_just_first():
     cfg = _cfg(traffic=TrafficModel(lambda1=-1, k=-2, mu=0),
-               initial_params=DefenseParams(-1.0, 0),
-               epsilon_floor=0.0)
+               initial_params=DefenseParams(-1.0, 0))
     violations = validate_config(cfg)
     assert len(violations) >= 5
 
@@ -69,8 +68,18 @@ def test_config_from_json_round_trip(tmp_path):
     assert cfg.initial_params == DefenseParams(10.0, 64)
     assert type(cfg.initial_params.h) is float  # an int h is loaded as a float
     # untouched fields keep their defaults
-    assert cfg.epsilon_floor == 1e-6
+    assert cfg.hold_mode == "deterministic"
     assert cfg.la_settings.h_actions[-1] == 75.0
+
+
+def test_loaded_int_h_grid_is_a_float_grid(tmp_path):
+    # an int h prints as 1.0, not 1, in the window CSV and the event trace
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"master_seed": 1, "la_settings": {
+        "h_actions": [1, 2.5], "m_actions": [64, 128]}}), encoding="utf-8")
+    la = load_config(path).la_settings
+    assert la.h_actions == (1.0, 2.5) and all(type(h) is float for h in la.h_actions)
+    assert la.m_actions == (64, 128) and all(type(m) is int for m in la.m_actions)
 
 
 def test_master_seed_is_required():
@@ -110,8 +119,9 @@ def _loaded(**doc):
     (replace(BASE, initial_params=DefenseParams(NAN, 128)), "h"),
     (replace(BASE, initial_params=DefenseParams(INF, 128)), "h"),
     (replace(BASE, initial_params=DefenseParams(75.0, 2.5)), "m"),
-    (replace(BASE, epsilon_floor=NAN), "epsilon_floor"),
-    (replace(BASE, epsilon_floor=INF), "epsilon_floor"),
+    # a loaded h grid keeps what is not a finite number, for validation
+    (_loaded(la_settings={"h_actions": [1, "2"]}), "h_actions"),
+    (_loaded(la_settings={"h_actions": [0.5, True]}), "h_actions"),
     (_la(a=NAN), "reward step a"),
     (_la(b=NAN), "penalty step b"),
     (_la(b=INF), "penalty step b"),
@@ -157,6 +167,8 @@ def test_bad_config_rejected_naming_the_field(config, field):
     ({"initial_params": {"h": 10}}, "initial_params requires keys: \\['m'\\]"),
     ({"compare_mode": "best-so-far"}, "unknown config keys: \\['compare_mode'\\]"),
     ({"traffic": [10, 1, 100]}, "traffic must be an object"),
+    # the J floor is the constant metrics.EPSILON_FLOOR
+    ({"epsilon_floor": 1e-6}, "unknown config keys: \\['epsilon_floor'\\]"),
 ])
 def test_bad_config_dict_rejected_naming_the_key(doc, key):
     with pytest.raises(ValueError, match=key):

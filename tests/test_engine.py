@@ -24,28 +24,29 @@ def make_state(h=75.0, m=128, hold_mode="deterministic", mu=100.0, seed=0):
 
 def offer(state, times, classes):
     """Offer one window of arrivals, as run_simulation does; returns the
-    offered records and admit_or_block's answers, not yet settled."""
+    offered records and the admission mask, not yet settled."""
     offered = state.offered(times, classes)
-    return offered, list(map(state.admit_or_block, offered[DEP].tolist(), times.tolist()))
+    answers = map(state.admit_or_block, offered[DEP].tolist(), times.tolist())
+    return offered, np.fromiter(answers, bool, len(times))
 
 
-def settle(state, until, offered=np.empty((6, 0)), outcomes=()):
+def settle(state, until, offered=np.empty((6, 0)), admitted=np.empty(0, bool)):
     """Settle up to until, as run_simulation does; returns the traced events."""
-    departed = state.advance_to(until, offered, outcomes)
-    return trace_events(departed, sum(state.occupancy), offered, outcomes)
+    departed = state.advance_to(until, offered, admitted)
+    return trace_events(departed, sum(state.occupancy), offered, admitted)
 
 
 def arrive(state, arrivals):
     """Offer (class, time) arrivals as one window and settle it; returns
-    admit_or_block's answers and the settled events."""
+    the admission mask and the settled events."""
     times = np.array([t for _, t in arrivals])
     classes = np.array([cls for cls, _ in arrivals], np.int8)
-    offered, outcomes = offer(state, times, classes)
-    return outcomes, settle(state, times[-1], offered, outcomes)
+    offered, admitted = offer(state, times, classes)
+    return admitted, settle(state, times[-1], offered, admitted)
 
 
 def admit(state, cls, t):
-    """Offer one arrival at t without settling it; admit_or_block's answer."""
+    """Offer one arrival at t without settling it; True if it is admitted."""
     return offer(state, np.array([t]), np.array([cls], np.int8))[1][0]
 
 
@@ -54,15 +55,15 @@ def admit(state, cls, t):
 def test_admit_below_capacity():
     state = make_state(m=128)
     for i in range(127):
-        assert admit(state, ATT, 0.0) is not None
-    assert admit(state, REG, 0.0) is not None
+        assert admit(state, ATT, 0.0)
+    assert admit(state, REG, 0.0)
 
 
 def test_block_at_capacity():
     state = make_state(m=128)
-    outcomes, _ = arrive(state, [(ATT, 0.0)] * 128 + [(REG, 0.0)])
-    assert all(outcomes[:128])
-    assert outcomes[128] is None
+    admitted, _ = arrive(state, [(ATT, 0.0)] * 128 + [(REG, 0.0)])
+    assert all(admitted[:128])
+    assert not admitted[128]
     assert state.blocked[REG] == 1
     assert state.admitted == [0, 128] and state.occupancy == [0, 128]
 
@@ -70,9 +71,9 @@ def test_block_at_capacity():
 def test_departure_frees_its_slot_for_an_arrival_at_the_same_instant():
     state = make_state(h=5.0, m=1)
     just_before = np.nextafter(5.0, 0.0)
-    outcomes, (times, codes, occupancy) = arrive(
+    admitted, (times, codes, occupancy) = arrive(
         state, [(ATT, 0.0), (ATT, just_before), (ATT, 5.0)])
-    assert outcomes == [True, None, True]
+    assert admitted.tolist() == [True, False, True]
     # the departure at 5.0 is settled before the admission at 5.0
     assert times.tolist() == [0.0, just_before, 5.0, 5.0]
     assert [EVENT_LABELS[c] for c in codes] == [
@@ -101,7 +102,7 @@ def test_shrunk_capacity_blocks_until_drained():
     assert (summary.regular, summary.attack) == (0, 0)  # shrink never evicts
     assert sum(state.occupancy) == 130                  # transient overshoot
     assert len(state.heap) == 64                        # one free-time per slot
-    assert admit(state, ATT, 1.0) is None               # still over the new cap
+    assert not admit(state, ATT, 1.0)                   # still over the new cap
 
 
 def test_shrink_admits_after_occupancy_minus_new_cap_plus_one_departures():
@@ -110,10 +111,10 @@ def test_shrink_admits_after_occupancy_minus_new_cap_plus_one_departures():
     state.apply_defense_params(DefenseParams(100.0, 64), 3.0)
     departures = sorted(i / 64 + 100.0 for i in range(130))
     # 66 departures leave 64 residents: the buffer is still full
-    assert admit(state, ATT, departures[65]) is None
-    assert admit(state, ATT, np.nextafter(departures[66], 0.0)) is None
+    assert not admit(state, ATT, departures[65])
+    assert not admit(state, ATT, np.nextafter(departures[66], 0.0))
     # the 67th = 130 - 64 + 1 frees a slot at its own instant
-    assert admit(state, ATT, departures[66]) is not None
+    assert admit(state, ATT, departures[66])
 
 
 def test_identity_param_change_evicts_nothing():
@@ -150,12 +151,12 @@ def test_retroactive_eviction_counts_as_an_expiry():
 def test_capacity_growth_is_eviction_free_and_immediate():
     state = make_state(h=75.0, m=128)
     arrive(state, [(ATT, 0.0)] * 128)
-    assert admit(state, ATT, 1.0) is None
+    assert not admit(state, ATT, 1.0)
     summary = state.apply_defense_params(DefenseParams(75.0, 1024), 1.0)
     assert (summary.regular, summary.attack) == (0, 0)
     # every new slot admits at once
     assert all(admit(state, ATT, 1.0) for _ in range(1024 - 128))
-    assert admit(state, ATT, 1.0) is None
+    assert not admit(state, ATT, 1.0)
 
 
 def test_advance_to_accumulates_normalized_occupancy():
@@ -168,8 +169,8 @@ def test_advance_to_accumulates_normalized_occupancy():
 
 def test_advance_to_symmetric_half_occupancy():
     state = make_state(m=2, h=100.0, mu=1e-9)
-    outcomes, _ = arrive(state, [(REG, 0.0), (ATT, 0.0), (ATT, 3.0)])
-    assert outcomes[2] is None
+    admitted, _ = arrive(state, [(REG, 0.0), (ATT, 0.0), (ATT, 3.0)])
+    assert not admitted[2]
     assert state.integral[REG] == pytest.approx(1.5)
     assert state.integral[ATT] == pytest.approx(1.5)
 
@@ -312,20 +313,20 @@ def test_kernel_matches_the_per_event_reference_loop(hold_mode, seed):
 
 
 def test_states_of_one_seed_give_every_arrival_the_same_lifetimes():
-    # lifetimes are drawn by arrival, so (h, m) and the outcomes change none
+    # lifetimes are drawn by arrival, so (h, m) and admission change none
     small = make_state(h=0.5, m=1, hold_mode="exponential", mu=2.0, seed=4)
     large = make_state(h=2.5, m=1024, hold_mode="exponential", mu=2.0, seed=4)
     rng = np.random.default_rng(4)
     for window in range(5):
         times = np.sort(rng.uniform(window, window + 1, 300))
         classes = rng.integers(0, 2, 300).astype(np.int8)
-        (a, a_outcomes), (b, b_outcomes) = (offer(state, times, classes)
+        (a, a_admitted), (b, b_admitted) = (offer(state, times, classes)
                                             for state in (small, large))
-        assert a_outcomes != b_outcomes
+        assert (a_admitted != b_admitted).any()
         for row in (SERVICE, HOLD_UNIT):
             assert a[row].tobytes() == b[row].tobytes()  # bit for bit
-        small.advance_to(times[-1], a, a_outcomes)
-        large.advance_to(times[-1], b, b_outcomes)
+        small.advance_to(times[-1], a, a_admitted)
+        large.advance_to(times[-1], b, b_admitted)
     assert small.blocked[REG] > 0 and large.blocked == [0, 0]
 
 
@@ -333,27 +334,27 @@ def test_states_of_one_seed_give_every_arrival_the_same_lifetimes():
 
 def test_arrival_times_are_the_running_sum_of_draws():
     gaps = _ExpStream(np.random.default_rng(7), 3.0, block=4)
-    times = _ExpStream(np.random.default_rng(7), 3.0, block=4).times()
-    t = 0.0
-    for _ in range(6):  # across five refills
-        for gap, time in zip(gaps.draw().tolist(), next(times).tolist(), strict=True):
+    stream = _ExpStream(np.random.default_rng(7), 3.0, block=4)
+    times = stream.head(24).tolist()  # six blocks
+    t, sums = 0.0, []
+    for _ in range(6):
+        for gap in gaps.draw().tolist():
             t += gap
-            assert time == t  # bit for bit
+            sums.append(t)
+    assert times == sums  # bit for bit
+    assert stream.head(24).tolist() == times  # head takes nothing
 
 
 def test_stream_past_the_float_range_never_fires_again():
     # the second time overflows: inf, without an overflow warning
-    times = _ExpStream(np.random.default_rng(0), 6.7e-309, block=4).times()
-    first, *rest = next(times).tolist()
-    assert math.isfinite(first) and rest == [np.inf] * 3
-    assert next(times).tolist() == [np.inf] * 4
+    first, *rest = _ExpStream(np.random.default_rng(0), 6.7e-309, block=4).head(8).tolist()
+    assert math.isfinite(first) and rest == [np.inf] * 7
 
 
 def test_zero_rate_stream_never_fires():
     stream = _ExpStream(np.random.default_rng(7), 0.0, block=4)
     assert stream.draw().tolist() == [np.inf] * 4
-    times = stream.times()
-    assert [x for _ in range(3) for x in next(times).tolist()] == [np.inf] * 12
+    assert stream.head(12).tolist() == [np.inf] * 12
 
 
 # -- full runs ---------------------------------------------------------------

@@ -1,7 +1,12 @@
 import csv
 import io
 import json
+import math
+import os
+import re
+import shlex
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -130,6 +135,21 @@ def test_sweep_spec_rejects_bad_inputs():
         SweepSpec(base_config=cfg(), seeds=())
     with pytest.raises(ValueError):
         SweepSpec(base_config=cfg(), controllers=("bogus",))
+    for k in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="k_values"):
+            SweepSpec(base_config=cfg(), k_values=(0.5, k))
+
+
+def test_default_workers_follow_the_cpu_affinity(monkeypatch):
+    # one usable CPU: a default two-cell sweep runs in this process
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    spec = SweepSpec(base_config=cfg(), k_values=(0.5,), seeds=(1,),
+                     controllers=("static", "la"))
+    assert len(list(csv.DictReader(io.StringIO(run_sweep(spec))))) == 2
 
 
 def test_validate_fast_groups_pass():
@@ -190,10 +210,12 @@ def test_cli_sweep(tmp_path):
         "master_seed": 7, "total_requests": 1000, "window_size": 500}),
         encoding="utf-8")
     rc = main(["sweep", "--config", str(config_path), "--out", str(out),
-               "--k-min", "0", "--k-max", "1", "--k-step", "0.5",
-               "--seeds", "2", "--controllers", "static", "--workers", "1"])
+               "--k", "0,0.1,0.2,0.3", "--seeds", "2", "--controllers", "static",
+               "--workers", "1"])
     assert rc == 0
-    assert len(list(csv.DictReader(out.read_text().splitlines()))) == 6
+    # each k is written as given
+    ks = [row["k"] for row in csv.DictReader(out.read_text().splitlines())]
+    assert ks == [k for k in ("0.0", "0.1", "0.2", "0.3") for _ in range(2)]
 
 
 def test_cli_sweep_takes_no_trace_flags(tmp_path, capsys):
@@ -205,13 +227,13 @@ def test_cli_sweep_takes_no_trace_flags(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
-@pytest.mark.parametrize("flags", [["--k-step", "0"], ["--k-step", "-0.5"],
-                                   ["--k-step", "nan"], ["--k-min", "1", "--k-max", "0.5"]])
+@pytest.mark.parametrize("flags", [["--k", "0.5,,1"], ["--k", "0.5,-1"], ["--k", "nan"],
+                                   ["--k", "abc"], ["--k", "inf"], ["--k", ""]])
 def test_cli_sweep_rejects_a_bad_k_grid(flags, capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["sweep", "--seed", "1", *flags])
     assert exit_info.value.code == 2
-    assert "--k-step must be positive" in capsys.readouterr().err
+    assert "argument --k: must be a comma list" in capsys.readouterr().err
 
 
 def test_cli_sweep_defaults_are_the_sweep_spec_defaults(monkeypatch):
@@ -221,6 +243,26 @@ def test_cli_sweep_defaults_are_the_sweep_spec_defaults(monkeypatch):
     assert specs[0].k_values == DEFAULT_K_VALUES == SweepSpec.k_values
     assert specs[0].controllers == SweepSpec.controllers
     assert specs[0].seeds == tuple(3 + i for i in range(len(SweepSpec.seeds)))
+
+
+def test_readme_command_lines_parse(tmp_path, monkeypatch):
+    # every synsim line of README's "Command line" block, optional flags included
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Command line\n\n```\n(.*?)```", readme, re.S).group(1)
+    lines = [line for line in block.splitlines() if line.startswith("synsim ")]
+    assert {line.split()[1] for line in lines} == {"run", "sweep", "validate"}
+    entry = {"run": "run_single", "sweep": "run_sweep", "validate": "run_validate"}
+    results = {"run_single": None, "run_sweep": "", "run_validate": ([], True)}
+    calls = []
+    for name, result in results.items():
+        monkeypatch.setattr(harness, name, lambda *args, name=name, result=result, **kwargs:
+                            calls.append(name) or result)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text('{"master_seed": 7}', encoding="utf-8")
+    for line in lines:
+        argv = shlex.split(line.replace("[", "").replace("]", ""))[1:]
+        calls.clear()
+        assert main(argv) == 0 and calls == [entry[argv[0]]], line
 
 
 def test_cli_validate_exit_status(capsys):

@@ -5,8 +5,6 @@ from hypothesis import given, strategies as st
 
 from synsim.metrics import cumulative_metrics, finalize_window, objective
 
-EPS = 1e-6
-
 
 def test_no_attack_floor_case():
     wm = finalize_window(arrivals_regular=500, arrivals_attack=0,
@@ -14,59 +12,55 @@ def test_no_attack_floor_case():
                          completed=490, legit_expired=0,
                          norm_integral_regular=0.05 * 2.0,
                          norm_integral_attack=0.0,
-                         duration=2.0, epsilon_floor=EPS)
+                         duration=2.0)
     assert wm.Ploss == 0.0
     assert wm.Pr == pytest.approx(0.05)
     assert wm.Pa == 0.0
-    assert wm.J == pytest.approx(0.05 / (EPS * EPS))
+    assert wm.J == pytest.approx(0.05 / (1e-6 * 1e-6))  # both factors floored at 1e-6
 
 
 def test_half_blocked_ratio():
-    wm = finalize_window(250, 250, 125, 125, 100, 0, 0.2, 0.2, 1.0, EPS)
+    wm = finalize_window(250, 250, 125, 125, 100, 0, 0.2, 0.2, 1.0)
     assert wm.Ploss == 0.5
 
 
 def test_empty_window_is_an_error():
     with pytest.raises(ValueError, match="empty window"):
-        finalize_window(1, 0, 0, 0, 0, 0, 0.0, 0.0, 0.0, EPS)
+        finalize_window(1, 0, 0, 0, 0, 0, 0.0, 0.0, 0.0)
 
 
 def test_objective_direct_substitution():
-    assert objective(0.4, 0.2, 0.1, EPS) == pytest.approx(20.0)
+    assert objective(0.4, 0.2, 0.1) == pytest.approx(20.0)
 
 
 def test_objective_floor_on_numerator():
-    assert objective(0.0, 0.5, 0.5, EPS) == pytest.approx(4e-6)
+    assert objective(0.0, 0.5, 0.5) == pytest.approx(4e-6)
 
 
 def test_objective_floors_on_denominator():
-    assert objective(0.4, 0.0, 0.0, EPS) == pytest.approx(4e11)
-
-
-def test_objective_is_capped():
-    assert objective(1.0, 0.0, 0.0, 1e-12) == 1e18
+    assert objective(0.4, 0.0, 0.0) == pytest.approx(4e11)
 
 
 @given(st.floats(1e-5, 1.0), st.floats(1e-5, 1.0), st.floats(1e-5, 1.0),
        st.floats(1e-5, 0.5))
 def test_objective_monotonicity(pr, pa, ploss, bump):
-    base = objective(pr, pa, ploss, EPS)
-    assert objective(pr, pa + bump, ploss, EPS) <= base
-    assert objective(pr, pa, ploss + bump, EPS) <= base
-    assert objective(min(pr + bump, 1.0), pa, ploss, EPS) >= base
+    base = objective(pr, pa, ploss)
+    assert objective(pr, pa + bump, ploss) <= base
+    assert objective(pr, pa, ploss + bump) <= base
+    assert objective(min(pr + bump, 1.0), pa, ploss) >= base
 
 
 def test_scale_free_in_counts():
-    a = finalize_window(300, 200, 30, 20, 100, 5, 0.1, 0.3, 2.0, EPS)
-    b = finalize_window(600, 400, 60, 40, 200, 10, 0.1, 0.3, 2.0, EPS)
+    a = finalize_window(300, 200, 30, 20, 100, 5, 0.1, 0.3, 2.0)
+    b = finalize_window(600, 400, 60, 40, 200, 10, 0.1, 0.3, 2.0)
     assert a.Ploss == b.Ploss
     assert a.J == b.J
 
 
 def test_cumulative_is_weighted_average():
-    w1 = finalize_window(100, 100, 50, 0, 10, 0, 0.2, 0.4, 1.0, EPS)
-    w2 = finalize_window(300, 100, 0, 50, 30, 0, 0.9, 0.3, 3.0, EPS)
-    c = cumulative_metrics([w1, w2], EPS)
+    w1 = finalize_window(100, 100, 50, 0, 10, 0, 0.2, 0.4, 1.0)
+    w2 = finalize_window(300, 100, 0, 50, 30, 0, 0.9, 0.3, 3.0)
+    c = cumulative_metrics([w1, w2])
     assert c.Ploss == pytest.approx((50 + 50) / 600)
     # duration-weighted Pr/Pa reduce to summed integrals over total duration
     assert c.Pr == pytest.approx((0.2 + 0.9) / 4.0)
