@@ -10,13 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 
-SIMPLEX_TOL = 1e-9
-
 
 class Automaton:
     """Ordered action set, probability vector, and the linear update rules."""
 
-    def __init__(self, actions, a: float, b: float, p=None):
+    def __init__(self, actions, a: float, b: float):
         if len(actions) < 2:
             raise ValueError("need at least 2 actions")
         if not 0.0 < a < 1.0:
@@ -26,14 +24,7 @@ class Automaton:
         self.actions = tuple(actions)
         self.a = a
         self.b = b
-        r = len(self.actions)
-        if p is None:
-            self.p = np.full(r, 1.0 / r)
-        else:
-            self.p = np.asarray(p, dtype=float).copy()
-            if self.p.shape != (r,) or abs(self.p.sum() - 1.0) > SIMPLEX_TOL \
-                    or (self.p < 0).any():
-                raise ValueError("p must be a distribution over the actions")
+        self.p = np.full(self.r, 1.0 / self.r)  # the uniform prior
         self.last_selected: int | None = None
 
     @property

@@ -14,8 +14,14 @@ import math
 import numpy as np
 
 from .automata import Automaton
-from .domain import DefenseParams, LaSettings
+from .domain import DefenseParams
 from .metrics import WindowMetrics
+
+# the automata's action grids and their reward and penalty steps
+H_ACTIONS = (0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 40.0, 75.0)  # hold time h, seconds
+M_ACTIONS = (64, 128, 256, 512, 1024)                    # capacity m, slots
+REWARD_STEP = 0.1
+PENALTY_STEP = 0.05
 
 # ranks below every window, so the first scored window is always favorable
 _NO_SCORE = (-math.inf, -math.inf, -math.inf)
@@ -66,9 +72,9 @@ class LaController:
     updated vectors (unfavorable).
     """
 
-    def __init__(self, settings: LaSettings):
-        self.h_automaton = Automaton(settings.h_actions, settings.a, settings.b)
-        self.m_automaton = Automaton(settings.m_actions, settings.a, settings.b)
+    def __init__(self):
+        self.h_automaton = Automaton(H_ACTIONS, REWARD_STEP, PENALTY_STEP)
+        self.m_automaton = Automaton(M_ACTIONS, REWARD_STEP, PENALTY_STEP)
         self.prev_score = _NO_SCORE
         self.current: DefenseParams | None = None
         # (p_h, p_m) after each round; round r is at index r
@@ -110,4 +116,4 @@ class LaController:
 def make_controller(config) -> StaticController | LaController:
     if config.controller_kind == "static":
         return StaticController(config.initial_params)
-    return LaController(config.la_settings)
+    return LaController()

@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from collections.abc import Sequence
 from dataclasses import MISSING, dataclass, field, fields
 from enum import IntEnum
 from pathlib import Path
@@ -49,16 +48,6 @@ class TrafficModel:
 
 
 @dataclass(frozen=True)
-class LaSettings:
-    """Action grids and learning rates for the two automata."""
-
-    h_actions: tuple[float, ...] = (0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 40.0, 75.0)
-    m_actions: tuple[int, ...] = (64, 128, 256, 512, 1024)
-    a: float = 0.1
-    b: float = 0.05
-
-
-@dataclass(frozen=True)
 class SimConfig:
     master_seed: int
     traffic: TrafficModel = field(default_factory=TrafficModel)
@@ -67,7 +56,6 @@ class SimConfig:
     controller_kind: str = "la"                 # "static" | "la"
     initial_params: DefenseParams = field(
         default_factory=lambda: DefenseParams(75.0, 128))
-    la_settings: LaSettings = field(default_factory=LaSettings)
     hold_mode: str = "deterministic"            # "deterministic" | "exponential"
 
 
@@ -81,11 +69,6 @@ def _is_finite(value) -> bool:
                 and math.isfinite(value))
     except OverflowError:  # an int past the float range
         return False
-
-
-def _as_float(value):
-    """value as a float if it is a finite real number, else as it is."""
-    return float(value) if _is_finite(value) else value
 
 
 def _number(name: str, value, violations: list[str]) -> bool:
@@ -102,23 +85,6 @@ def _integer(name: str, value, violations: list[str]) -> bool:
         return True
     violations.append(f"{name} must be an integer")
     return False
-
-
-def _check_action_grid(name: str, grid, is_value, kind: str,
-                       violations: list[str]) -> None:
-    if not isinstance(grid, Sequence):
-        violations.append(f"{name} must be a sequence")
-        return
-    if len(grid) < 2:  # an automaton needs a choice to learn
-        violations.append(f"{name} must hold at least 2 actions")
-        return
-    if not all(is_value(v) for v in grid):
-        violations.append(f"{name} values must be {kind}")
-        return
-    if any(v <= 0 for v in grid):
-        violations.append(f"{name} values must be positive")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        violations.append(f"{name} must be strictly increasing")
 
 
 def validate_config(config: SimConfig) -> list[str]:
@@ -158,13 +124,6 @@ def validate_config(config: SimConfig) -> list[str]:
         v.append("controller_kind must be 'static' or 'la'")
     if config.hold_mode not in ("deterministic", "exponential"):
         v.append("hold_mode must be 'deterministic' or 'exponential'")
-    la = config.la_settings
-    _check_action_grid("h_actions", la.h_actions, _is_finite, "finite numbers", v)
-    _check_action_grid("m_actions", la.m_actions, _is_int, "integers", v)
-    if _number("reward step a", la.a, v) and not 0.0 < la.a < 1.0:
-        v.append("reward step a must lie in (0, 1)")
-    if _number("penalty step b", la.b, v) and not 0.0 <= la.b < 1.0:
-        v.append("penalty step b must lie in [0, 1)")
     return v
 
 
@@ -192,9 +151,8 @@ def config_from_dict(data: dict) -> SimConfig:
 
     Every key is optional except master_seed; keys mirror the field names.
     Unknown or missing keys, nested ones included, raise ValueError.  A
-    finite number h, initial or in the h grid, becomes a float and a list
-    grid a tuple; any other value is kept as it is, for validate_config to
-    report.
+    finite number h becomes a float; any other value is kept as it is, for
+    validate_config to report.
     """
     kwargs = _keys(SimConfig, data, "config")
     if "traffic" in kwargs:
@@ -202,14 +160,8 @@ def config_from_dict(data: dict) -> SimConfig:
         kwargs["traffic"] = TrafficModel(**traffic)
     if "initial_params" in kwargs:
         ip = _keys(DefenseParams, kwargs["initial_params"], "initial_params")
-        kwargs["initial_params"] = DefenseParams(_as_float(ip["h"]), ip["m"])
-    if "la_settings" in kwargs:
-        ls = _keys(LaSettings, kwargs["la_settings"], "la_settings")
-        if isinstance(ls.get("h_actions"), list):
-            ls["h_actions"] = tuple(map(_as_float, ls["h_actions"]))
-        if isinstance(ls.get("m_actions"), list):
-            ls["m_actions"] = tuple(ls["m_actions"])
-        kwargs["la_settings"] = LaSettings(**ls)
+        h = ip["h"]
+        kwargs["initial_params"] = DefenseParams(float(h) if _is_finite(h) else h, ip["m"])
     return SimConfig(**kwargs)
 
 

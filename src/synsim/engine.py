@@ -81,6 +81,7 @@ EVENT_LABELS = tuple(f"{kind}\t{label}" for kind in ("admit", "block", "complete
 ADMIT, CLS, SERVICE, HOLD_UNIT, DEP, COMPLETE = range(6)
 _NO_RECORDS = np.empty((6, 0))
 _NO_ARRIVALS = np.empty(0, bool)  # the admission mask of no arrivals
+_BLOCK = 8192  # the gaps an arrival stream draws at a time
 
 
 class _ExpStream:
@@ -93,19 +94,18 @@ class _ExpStream:
     range never fires again, as rate 0 never fires.
     """
 
-    __slots__ = ("rng", "rate", "block", "unread", "last")
+    __slots__ = ("rng", "rate", "unread", "last")
 
-    def __init__(self, rng: np.random.Generator, rate: float, block: int = 8192):
+    def __init__(self, rng: np.random.Generator, rate: float):
         self.rng = rng
         self.rate = rate
-        self.block = block
         self.unread = np.empty(0)
         self.last = 0.0  # the latest time drawn
 
     def draw(self) -> np.ndarray:
         if self.rate > 0:
-            return self.rng.exponential(1.0 / self.rate, self.block)
-        return np.full(self.block, _INF)
+            return self.rng.exponential(1.0 / self.rate, _BLOCK)
+        return np.full(_BLOCK, _INF)
 
     def head(self, n: int) -> np.ndarray:
         """The next n times, without taking them."""

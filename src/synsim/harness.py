@@ -106,6 +106,10 @@ class SweepSpec:
         if not self.controllers or any(c not in ("static", "la")
                                        for c in self.controllers):
             raise ValueError("controllers must be a subset of {static, la}")
+        for name in ("k_values", "seeds", "controllers"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):  # a repeat would run its cells twice
+                raise ValueError(f"{name} must not repeat a value")
 
 
 def _run_cell(config: SimConfig):
@@ -327,21 +331,33 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "run":
-        run_single(_load(args), out_path=args.out, la_trace_path=args.la_trace,
-                   event_trace_path=args.event_trace)
+        config = _load(args)
+        try:
+            run_single(config, out_path=args.out, la_trace_path=args.la_trace,
+                       event_trace_path=args.event_trace)
+        except ValueError as e:  # a flag run_single rejects; the message names it
+            p_run.error(str(e))
         return 0
 
     if args.command == "sweep":
         base = _load(args)
-        spec = SweepSpec(base_config=base, k_values=args.k,
-                         seeds=tuple(base.master_seed + i for i in range(args.seeds)),
-                         controllers=tuple(args.controllers.split(",")))
+        try:
+            spec = SweepSpec(base_config=base, k_values=args.k,
+                             seeds=tuple(base.master_seed + i for i in range(args.seeds)),
+                             controllers=tuple(args.controllers.split(",")))
+        except ValueError as e:  # the message starts with the field's name
+            field = str(e).split()[0]
+            flag = "--k" if field == "k_values" else "--" + field
+            p_sweep.error(f"argument {flag}: {e}")
         text = run_sweep(spec, out_path=args.out, workers=args.workers)
         if not args.out:
             sys.stdout.write(text)
         return 0
 
-    checks, ok = run_validate(args.cases)  # validate
+    try:  # validate
+        checks, ok = run_validate(args.cases)
+    except ValueError as e:
+        p_val.error(f"argument --cases: {e}")
     for c in checks:
         status = "PASS" if c.passed else "FAIL"
         print(f"{status}  {c.name}: observed {c.observed}, "

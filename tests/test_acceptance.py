@@ -94,11 +94,11 @@ def test_criterion_2_two_class_oracle_agreement():
 
 
 def test_criterion_3_update_arithmetic():
-    auto = Automaton((0, 1), a=0.1, b=0.0, p=[0.5, 0.5])
+    auto = Automaton((0, 1), a=0.1, b=0.0)
     auto.last_selected = 0
     auto.reward(0)
     ok = (abs(auto.p[0] - 0.55) <= 1e-12 and abs(auto.p[1] - 0.45) <= 1e-12)
-    auto = Automaton((0, 1), a=0.1, b=0.1, p=[0.5, 0.5])
+    auto = Automaton((0, 1), a=0.1, b=0.1)
     auto.last_selected = 0
     auto.penalty(0)
     ok = ok and (abs(auto.p[0] - 0.45) <= 1e-12 and abs(auto.p[1] - 0.55) <= 1e-12)

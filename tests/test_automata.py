@@ -7,7 +7,8 @@ from synsim.automata import Automaton
 
 
 def make(p, a=0.1, b=0.05):
-    auto = Automaton(tuple(range(len(p))), a=a, b=b, p=p)
+    auto = Automaton(tuple(range(len(p))), a=a, b=b)
+    auto.p = np.array(p, float)
     return auto
 
 
@@ -64,20 +65,16 @@ def test_feedback_for_unselected_action_rejected():
         auto.penalty(1)
 
 
-@pytest.mark.parametrize("actions, a, b, p, message", [
-    ((1.0,), 0.1, 0.05, None, "at least 2 actions"),
-    ((1.0, 2.0), 0.0, 0.05, None, "reward step a"),
-    ((1.0, 2.0), 1.0, 0.05, None, "reward step a"),
-    ((1.0, 2.0), 0.1, -0.1, None, "penalty step b"),
-    ((1.0, 2.0), 0.1, 1.0, None, "penalty step b"),
-    ((1.0, 2.0), 0.1, 0.05, [1.0], "distribution"),
-    ((1.0, 2.0), 0.1, 0.05, [0.6, 0.6], "distribution"),
-    ((1.0, 2.0), 0.1, 0.05, [1.5, -0.5], "distribution"),
-], ids=["one action", "a=0", "a=1", "b<0", "b=1", "p too short", "p sums past 1",
-        "p negative"])
-def test_bad_automaton_rejected(actions, a, b, p, message):
+@pytest.mark.parametrize("actions, a, b, message", [
+    ((1.0,), 0.1, 0.05, "at least 2 actions"),
+    ((1.0, 2.0), 0.0, 0.05, "reward step a"),
+    ((1.0, 2.0), 1.0, 0.05, "reward step a"),
+    ((1.0, 2.0), 0.1, -0.1, "penalty step b"),
+    ((1.0, 2.0), 0.1, 1.0, "penalty step b"),
+], ids=["one action", "a=0", "a=1", "b<0", "b=1"])
+def test_bad_automaton_rejected(actions, a, b, message):
     with pytest.raises(ValueError, match=message):
-        Automaton(actions, a=a, b=b, p=p)
+        Automaton(actions, a=a, b=b)
 
 
 def test_select_degenerate_distribution():

@@ -2,9 +2,9 @@ import itertools
 
 import numpy as np
 
-from synsim.controller import (LaController, StaticController, feedback_signal,
-                               window_score)
-from synsim.domain import DefenseParams, LaSettings, SimConfig, TrafficModel
+from synsim.controller import (H_ACTIONS, M_ACTIONS, LaController, StaticController,
+                               feedback_signal, window_score)
+from synsim.domain import DefenseParams, SimConfig, TrafficModel
 from synsim.metrics import WindowMetrics, objective
 from synsim.oracle import steady_state
 
@@ -38,7 +38,7 @@ def test_feedback_tie_is_unfavorable():
 
 def test_feedback_first_window_always_favorable():
     # the worst possible first window is still rewarded and its pair kept
-    ctrl = LaController(LaSettings())
+    ctrl = LaController()
     rng = np.random.default_rng(11)
     first = ctrl.initial_params(rng)
     hi = ctrl.h_automaton.last_selected
@@ -50,7 +50,7 @@ def test_feedback_first_window_always_favorable():
 
 def test_feedback_previous_window_mode():
     # the baseline is the previous window, not the best one so far
-    ctrl = LaController(LaSettings())
+    ctrl = LaController()
     rng = np.random.default_rng(4)
     ctrl.initial_params(rng)
     ctrl.on_window_end(window_with_j(100.0), rng)   # record
@@ -65,26 +65,24 @@ def test_feedback_previous_window_mode():
 
 
 def test_round_zero_selection_is_reproducible():
-    settings = LaSettings()
     picks = set()
     for _ in range(3):
-        ctrl = LaController(settings)
+        ctrl = LaController()
         picks.add(ctrl.initial_params(np.random.default_rng(99)))
     assert len(picks) == 1
     p = picks.pop()
-    assert p.h in settings.h_actions and p.m in settings.m_actions
+    assert p.h in H_ACTIONS and p.m in M_ACTIONS
 
 
 def test_round_zero_does_not_update_probabilities():
-    ctrl = LaController(LaSettings())
+    ctrl = LaController()
     ctrl.initial_params(np.random.default_rng(1))
     assert np.allclose(ctrl.h_automaton.p, 1.0 / 8)
     assert np.allclose(ctrl.m_automaton.p, 1.0 / 5)
 
 
 def test_favorable_retains_params_but_still_updates_vectors():
-    settings = LaSettings(a=0.1, b=0.05)
-    ctrl = LaController(settings)
+    ctrl = LaController()
     rng = np.random.default_rng(7)
     first = ctrl.initial_params(rng)
     hi, mi = ctrl.h_automaton.last_selected, ctrl.m_automaton.last_selected
@@ -96,17 +94,16 @@ def test_favorable_retains_params_but_still_updates_vectors():
 
 
 def test_unfavorable_resamples_from_updated_vectors():
-    settings = LaSettings()
-    ctrl = LaController(settings)
+    ctrl = LaController()
     rng = np.random.default_rng(3)
     ctrl.initial_params(rng)
     ctrl.on_window_end(window_with_j(10.0), rng)       # sets the record
     out = ctrl.on_window_end(window_with_j(1.0), rng)  # worse: re-sample
-    assert out.h in settings.h_actions and out.m in settings.m_actions
+    assert out.h in H_ACTIONS and out.m in M_ACTIONS
 
 
 def test_both_automata_receive_same_signal():
-    ctrl = LaController(LaSettings())
+    ctrl = LaController()
     rng = np.random.default_rng(5)
     ctrl.initial_params(rng)
     for j in (3.0, 1.0, 7.0, 2.0):
@@ -124,8 +121,7 @@ def synthetic_j(h, m):
 
 
 def test_synthetic_optimum_is_unique_by_enumeration():
-    settings = LaSettings()
-    pairs = list(itertools.product(settings.h_actions, settings.m_actions))
+    pairs = list(itertools.product(H_ACTIONS, M_ACTIONS))
     scores = [synthetic_j(h, m) for h, m in pairs]
     best = pairs[int(np.argmax(scores))]
     assert best == (0.5, 1024)
@@ -136,10 +132,9 @@ def test_la_finds_synthetic_optimum():
     # With binary favorable/unfavorable feedback the joint mode of the two
     # probability vectors stays noisy, so only a majority is asked for on
     # each marginal mode.
-    settings = LaSettings(a=0.1, b=0.05)
     modal_h_hits = modal_m_hits = 0
     for seed in range(50):
-        ctrl = LaController(settings)
+        ctrl = LaController()
         rng = np.random.default_rng(seed)
         params = ctrl.initial_params(rng)
         noise = np.random.default_rng(seed + 1000)
@@ -168,8 +163,7 @@ def closed_form_window(h, m, k, n=500):
 def rate_weighted_means(k):
     # each pair's response rate: how often its window is favorable against
     # the window of a uniformly drawn other pair
-    settings = LaSettings()
-    pairs = list(itertools.product(settings.h_actions, settings.m_actions))
+    pairs = list(itertools.product(H_ACTIONS, M_ACTIONS))
     scores = {p: window_score(closed_form_window(*p, k)) for p in pairs}
     rates = {x: sum(feedback_signal(scores[x], scores[y]) == 0
                     for y in pairs if y != x)

@@ -1,12 +1,14 @@
 import json
 import math
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from synsim import (DefenseParams, LaSettings, SimConfig, TrafficModel,
-                    config_from_dict, load_config, run_simulation, validate_config)
+from synsim import (DefenseParams, SimConfig, TrafficModel, config_from_dict,
+                    load_config, run_simulation, validate_config)
+from synsim import controller
 
 
 def _cfg(**kw):
@@ -69,17 +71,6 @@ def test_config_from_json_round_trip(tmp_path):
     assert type(cfg.initial_params.h) is float  # an int h is loaded as a float
     # untouched fields keep their defaults
     assert cfg.hold_mode == "deterministic"
-    assert cfg.la_settings.h_actions[-1] == 75.0
-
-
-def test_loaded_int_h_grid_is_a_float_grid(tmp_path):
-    # an int h prints as 1.0, not 1, in the window CSV and the event trace
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"master_seed": 1, "la_settings": {
-        "h_actions": [1, 2.5], "m_actions": [64, 128]}}), encoding="utf-8")
-    la = load_config(path).la_settings
-    assert la.h_actions == (1.0, 2.5) and all(type(h) is float for h in la.h_actions)
-    assert la.m_actions == (64, 128) and all(type(m) is int for m in la.m_actions)
 
 
 def test_master_seed_is_required():
@@ -100,10 +91,6 @@ def _traffic(**kw):
     return replace(BASE, traffic=replace(BASE.traffic, **kw))
 
 
-def _la(**kw):
-    return replace(BASE, la_settings=replace(BASE.la_settings, **kw))
-
-
 def _loaded(**doc):
     return config_from_dict({"master_seed": 1, **doc})
 
@@ -119,15 +106,15 @@ def _loaded(**doc):
     (replace(BASE, initial_params=DefenseParams(NAN, 128)), "h"),
     (replace(BASE, initial_params=DefenseParams(INF, 128)), "h"),
     (replace(BASE, initial_params=DefenseParams(75.0, 2.5)), "m"),
-    # a loaded h grid keeps what is not a finite number, for validation
-    (_loaded(la_settings={"h_actions": [1, "2"]}), "h_actions"),
-    (_loaded(la_settings={"h_actions": [0.5, True]}), "h_actions"),
-    (_la(a=NAN), "reward step a"),
-    (_la(b=NAN), "penalty step b"),
-    (_la(b=INF), "penalty step b"),
-    (_la(h_actions=(0.5, NAN)), "h_actions"),
-    (_la(h_actions=(0.5, INF)), "h_actions"),
-    (_la(m_actions=(64, 128.5)), "m_actions"),
+    # each rule no other row reaches, once
+    (_traffic(lambda1=True), "lambda1"),  # a JSON true is not a number
+    (_traffic(k=-1.0), "k"),
+    (_traffic(mu=0.0), "mu"),
+    (replace(BASE, initial_params=DefenseParams(-1.0, 128)), "h"),
+    (replace(BASE, initial_params=DefenseParams(75.0, 0)), "m"),
+    (replace(BASE, window_size=0), "window_size"),
+    (replace(BASE, total_requests=500, window_size=1000), "window"),
+    (replace(BASE, master_seed=1.5), "master_seed"),
     (replace(BASE, window_size=500.5), "window_size"),
     (replace(BASE, total_requests=True), "total_requests"),
     (replace(BASE, master_seed=-1), "master_seed"),
@@ -139,18 +126,11 @@ def _loaded(**doc):
     (_loaded(initial_params={"h": "abc", "m": 128}), "h"),
     (_loaded(initial_params={"h": None, "m": 128}), "h"),
     (_loaded(initial_params={"h": [1], "m": 128}), "h"),
-    (_la(h_actions=5), "h_actions"),
-    (_la(m_actions=None), "m_actions"),
-    (_loaded(la_settings={"h_actions": 5}), "h_actions"),
+    (replace(BASE, controller_kind="bogus"), "controller_kind"),
+    (replace(BASE, hold_mode="bogus"), "hold_mode"),
+    (_loaded(initial_params={"h": 10, "m": True}), "m"),
     (_loaded(initial_params={"h": 10**400, "m": 128}), "h"),  # past the float range
     (_traffic(lambda1=10**400), "lambda1"),
-    (_la(h_actions=(5.0,)), "h_actions"),
-    (_la(m_actions=(64,)), "m_actions"),
-    (_la(h_actions=()), "h_actions"),
-    (_la(m_actions=(0, 64)), "m_actions"),
-    (_la(h_actions=(1.0, 0.5)), "h_actions"),
-    (_la(a=1.0), "reward step a"),
-    (_la(b=1.0), "penalty step b"),
 ])
 def test_bad_config_rejected_naming_the_field(config, field):
     violations = validate_config(config)
@@ -162,8 +142,8 @@ def test_bad_config_rejected_naming_the_field(config, field):
 @pytest.mark.parametrize("doc, key", [
     ({"traffic": {"lambda1": 10, "typo": 1}}, "unknown traffic keys: \\['typo'\\]"),
     ({"initial_params": {"h": 10, "m": 64, "x": 0}}, "unknown initial_params keys"),
-    ({"la_settings": {"retain_on_favorable": True}},
-     "unknown la_settings keys: \\['retain_on_favorable'\\]"),
+    # the action grids and steps are controller.py constants
+    ({"la_settings": {"a": 0.1}}, "unknown config keys: \\['la_settings'\\]"),
     ({"initial_params": {"h": 10}}, "initial_params requires keys: \\['m'\\]"),
     ({"compare_mode": "best-so-far"}, "unknown config keys: \\['compare_mode'\\]"),
     ({"traffic": [10, 1, 100]}, "traffic must be an object"),
@@ -196,10 +176,10 @@ def test_valid_configs_give_meaningful_runs(seed, lambda1, k, mu, h, m, window,
     config = SimConfig(master_seed=seed, traffic=TrafficModel(lambda1, k, mu),
                        total_requests=total, window_size=window,
                        controller_kind=kind, initial_params=DefenseParams(h, m),
-                       la_settings=LaSettings(m_actions=(1, 8, 64)),
                        hold_mode=hold_mode)
     assert validate_config(config) == []
-    report = run_simulation(config)
+    with mock.patch.object(controller, "M_ACTIONS", (1, 8, 64)):  # LA capacities as small as m
+        report = run_simulation(config)
     t = report.totals
     for cls in t.arrivals:
         assert t.admitted[cls] == (t.completed[cls] + t.expired[cls]

@@ -8,8 +8,8 @@ import pytest
 
 from synsim.domain import DefenseParams, RequestClass, SimConfig, TrafficModel
 from synsim.engine import (ADMIT, CLASS_LABEL, DEP, EVENT_LABELS, HOLD_UNIT, SERVICE,
-                           BacklogState, ConservationError, _ExpStream, run_simulation,
-                           trace_events)
+                           BacklogState, ConservationError, _BLOCK, _ExpStream,
+                           run_simulation, trace_events)
 from synsim.harness import trace_ordering_ok, window_csv
 from synsim.oracle import erlang_b
 
@@ -333,28 +333,28 @@ def test_states_of_one_seed_give_every_arrival_the_same_lifetimes():
 # -- arrival sampling --------------------------------------------------------
 
 def test_arrival_times_are_the_running_sum_of_draws():
-    gaps = _ExpStream(np.random.default_rng(7), 3.0, block=4)
-    stream = _ExpStream(np.random.default_rng(7), 3.0, block=4)
-    times = stream.head(24).tolist()  # six blocks
+    gaps = _ExpStream(np.random.default_rng(7), 3.0)
+    stream = _ExpStream(np.random.default_rng(7), 3.0)
+    times = stream.head(2 * _BLOCK + 1).tolist()  # three blocks
     t, sums = 0.0, []
-    for _ in range(6):
+    for _ in range(3):
         for gap in gaps.draw().tolist():
             t += gap
             sums.append(t)
-    assert times == sums  # bit for bit
-    assert stream.head(24).tolist() == times  # head takes nothing
+    assert times == sums[:2 * _BLOCK + 1]  # bit for bit
+    assert stream.head(2 * _BLOCK + 1).tolist() == times  # head takes nothing
 
 
 def test_stream_past_the_float_range_never_fires_again():
     # the second time overflows: inf, without an overflow warning
-    first, *rest = _ExpStream(np.random.default_rng(0), 6.7e-309, block=4).head(8).tolist()
-    assert math.isfinite(first) and rest == [np.inf] * 7
+    first, *rest = _ExpStream(np.random.default_rng(0), 6.7e-309).head(_BLOCK + 1).tolist()
+    assert math.isfinite(first) and rest == [np.inf] * _BLOCK
 
 
 def test_zero_rate_stream_never_fires():
-    stream = _ExpStream(np.random.default_rng(7), 0.0, block=4)
-    assert stream.draw().tolist() == [np.inf] * 4
-    assert stream.head(12).tolist() == [np.inf] * 12
+    stream = _ExpStream(np.random.default_rng(7), 0.0)
+    assert stream.draw().tolist() == [np.inf] * _BLOCK
+    assert stream.head(2 * _BLOCK + 1).tolist() == [np.inf] * (2 * _BLOCK + 1)
 
 
 # -- full runs ---------------------------------------------------------------

@@ -11,11 +11,14 @@ from pathlib import Path
 import pytest
 
 from synsim import harness, oracle
-from synsim.domain import DefenseParams, SimConfig, TrafficModel
+from synsim.domain import (DefenseParams, SimConfig, TrafficModel, config_from_dict,
+                           validate_config)
 from synsim.engine import run_simulation
 from synsim.harness import (DEFAULT_K_VALUES, LA_TRACE_COLUMNS, SWEEP_COLUMNS, WINDOW_COLUMNS,
                             SweepSpec, main, run_single, run_sweep, run_validate)
 from synsim.oracle import ORACLE_CASES
+
+README = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
 
 
 def cfg(**kw):
@@ -138,6 +141,11 @@ def test_sweep_spec_rejects_bad_inputs():
     for k in (math.nan, math.inf):
         with pytest.raises(ValueError, match="k_values"):
             SweepSpec(base_config=cfg(), k_values=(0.5, k))
+    # a repeat would run the same cells twice and write duplicate rows
+    for name, values in (("k_values", (1.0, 0.5, 1.0)), ("seeds", (3, 3)),
+                         ("controllers", ("static", "la", "static"))):
+        with pytest.raises(ValueError, match=f"^{name} must not repeat a value"):
+            SweepSpec(base_config=cfg(), **{name: values})
 
 
 def test_default_workers_follow_the_cpu_affinity(monkeypatch):
@@ -227,6 +235,29 @@ def test_cli_sweep_takes_no_trace_flags(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--seed", "1", "--controllers", "bogus"], "argument --controllers: controllers"),
+    (["sweep", "--seed", "1", "--controllers", "static,static"],
+     "argument --controllers: controllers must not repeat"),
+    (["sweep", "--seed", "1", "--seeds", "0"], "argument --seeds: seeds must be non-empty"),
+    (["sweep", "--seed", "1", "--k", "1,1"], "argument --k: k_values must not repeat"),
+    (["validate", "--cases", "bogus"], "argument --cases: unknown validation cases"),
+    (["run", "--config", "static.json", "--la-trace", "x.csv"],
+     "--la-trace requires the la controller"),
+])
+def test_cli_input_errors_are_usage_errors(argv, message, tmp_path, monkeypatch, capsys):
+    # exit status 2 and one error line naming the flag, not a traceback
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "static.json").write_text(
+        '{"master_seed": 1, "controller_kind": "static"}', encoding="utf-8")
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith(f"synsim {argv[0]}: error: {message}")
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("flags", [["--k", "0.5,,1"], ["--k", "0.5,-1"], ["--k", "nan"],
                                    ["--k", "abc"], ["--k", "inf"], ["--k", ""]])
 def test_cli_sweep_rejects_a_bad_k_grid(flags, capsys):
@@ -247,8 +278,7 @@ def test_cli_sweep_defaults_are_the_sweep_spec_defaults(monkeypatch):
 
 def test_readme_command_lines_parse(tmp_path, monkeypatch):
     # every synsim line of README's "Command line" block, optional flags included
-    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-    block = re.search(r"## Command line\n\n```\n(.*?)```", readme, re.S).group(1)
+    block = re.search(r"## Command line\n\n```\n(.*?)```", README, re.S).group(1)
     lines = [line for line in block.splitlines() if line.startswith("synsim ")]
     assert {line.split()[1] for line in lines} == {"run", "sweep", "validate"}
     entry = {"run": "run_single", "sweep": "run_sweep", "validate": "run_validate"}
@@ -263,6 +293,12 @@ def test_readme_command_lines_parse(tmp_path, monkeypatch):
         argv = shlex.split(line.replace("[", "").replace("]", ""))[1:]
         calls.clear()
         assert main(argv) == 0 and calls == [entry[argv[0]]], line
+
+
+def test_readme_config_example_is_valid():
+    # README's config example loads and validates as it stands
+    (block,) = re.findall(r"```json\n(.*?)```", README, re.S)
+    assert validate_config(config_from_dict(json.loads(block))) == []
 
 
 def test_cli_validate_exit_status(capsys):
