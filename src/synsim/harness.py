@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 from . import oracle
 from .controller import LaController, make_controller
-from .domain import SimConfig, TrafficModel, load_config, validate_config
+from .domain import SimConfig, load_config, validate_config
 from .engine import run_simulation
 
 WINDOW_COLUMNS = ("window_index", "k", "controller", "h", "m",
@@ -201,7 +201,8 @@ def _erlang_checks():
                        0.01838, 1e-5)
 
 
-def _sim_checks():
+def sim_checks():
+    """One check per oracle case: its run's Ploss, Pr and Pa against the closed form."""
     fields = ("Ploss", "Pr", "Pa")
     for case in oracle.ORACLE_CASES:
         got = run_simulation(case.config).cumulative
@@ -214,51 +215,35 @@ def _sim_checks():
                     + f" ± {case.tol:g}")
 
 
-def _ordering_check():
-    cfg = SimConfig(master_seed=7, total_requests=5000, window_size=500,
-                    controller_kind="la",
-                    traffic=TrafficModel(lambda1=10.0, k=1.0, mu=100.0))
-    buf = io.StringIO()
-    run_simulation(cfg, event_trace=buf)
-    yield Check("event ordering (departures before arrivals)",
-                trace_ordering_ok(buf.getvalue()), "trace scan", "ordered")
+def _trace_checks():
+    """An LA run's event trace is ordered, and a repeat run is byte-identical."""
+    config = SimConfig(master_seed=7, total_requests=5000)
 
-
-def _determinism_check():
-    cfg = SimConfig(master_seed=11, total_requests=4000, window_size=500,
-                    controller_kind="la")
-    texts = []
-    for _ in range(2):
+    def traced_run():
         buf = io.StringIO()
-        report = run_simulation(cfg, event_trace=buf)
-        texts.append(window_csv(cfg, report) + buf.getvalue())
+        report = run_simulation(config, event_trace=buf)
+        return buf.getvalue(), window_csv(config, report)
+
+    first = traced_run()
+    yield Check("event ordering (departures before arrivals)",
+                trace_ordering_ok(first[0]), "trace scan", "ordered")
     yield Check("determinism (repeat run byte-identical)",
-                texts[0] == texts[1], "2 runs compared", "identical")
+                traced_run() == first, "2 runs compared", "identical")
 
 
-def run_validate(cases: str = "all") -> tuple[list[Check], bool]:
+def run_validate() -> tuple[list[Check], bool]:
     """Run the oracle-agreement suite; returns (checks, all_passed).
 
     Each sim case runs at its own length, which its tolerance is set for.
+    The acceptance gate runs this same suite once.
     """
-    groups = {
-        "erlang": _erlang_checks,
-        "sim": _sim_checks,
-        "ordering": _ordering_check,
-        "determinism": _determinism_check,
-    }
-    wanted = set(groups) if cases in ("all", None) else set(cases.split(","))
-    unknown = wanted - set(groups)
-    if unknown:
-        raise ValueError(f"unknown validation cases: {sorted(unknown)}")
     checks: list[Check] = []
-    for name, group in groups.items():
-        if name in wanted:
-            start = time.perf_counter()
-            for check in group():
-                now = time.perf_counter()
-                check.seconds, start = now - start, now
-                checks.append(check)
+    for group in (_erlang_checks, sim_checks, _trace_checks):
+        start = time.perf_counter()
+        for check in group():
+            now = time.perf_counter()
+            check.seconds, start = now - start, now
+            checks.append(check)
     return checks, all(c.passed for c in checks)
 
 
@@ -269,13 +254,15 @@ def run_validate(cases: str = "all") -> tuple[list[Check], bool]:
 def _add_shared_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config path")
     p.add_argument("--seed", type=int, help="override master_seed")
-    p.add_argument("--out", help="output CSV path")
+    p.add_argument("--out", type=_out_path, help="output CSV path")
 
 
-def _load(args) -> SimConfig:
+def _load(args, parser: argparse.ArgumentParser) -> SimConfig:
     if args.config:
         try:
             config = load_config(args.config)
+        except OSError as e:  # a missing or unreadable file
+            parser.error(f"argument --config: {e.strerror}: {args.config!r}")
         except ValueError as e:  # bad JSON, or a key config_from_dict rejects
             raise SystemExit(f"invalid config: {e}") from None
     elif args.seed is not None:
@@ -288,6 +275,20 @@ def _load(args) -> SimConfig:
     if violations:
         raise SystemExit("invalid config: " + "; ".join(violations))
     return config
+
+
+def _out_path(path: str) -> str:
+    """An output path, checked before any simulation runs: a file in an existing directory."""
+    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+        raise argparse.ArgumentTypeError(f"not a file in an existing directory: {path!r}")
+    return path
+
+
+def _workers(text: str) -> int:
+    """--workers: a positive process count."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, not {text!r}")
+    return int(text)
 
 
 def _k_list(text: str) -> tuple[float, ...]:
@@ -311,8 +312,9 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="single simulation run")
     _add_shared_flags(p_run)
-    p_run.add_argument("--la-trace", help="probability-vector trace CSV path")
-    p_run.add_argument("--event-trace", help="event trace TSV path")
+    p_run.add_argument("--la-trace", type=_out_path,
+                       help="probability-vector trace CSV path")
+    p_run.add_argument("--event-trace", type=_out_path, help="event trace TSV path")
 
     p_sweep = sub.add_parser("sweep", help="k-sweep over seeds and controllers")
     _add_shared_flags(p_sweep)
@@ -321,17 +323,14 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--seeds", type=int, default=len(SweepSpec.seeds),
                          help="number of replicate seeds")
     p_sweep.add_argument("--controllers", default=",".join(SweepSpec.controllers))
-    p_sweep.add_argument("--workers", type=int, default=None)
+    p_sweep.add_argument("--workers", type=_workers, default=None)
 
-    p_val = sub.add_parser("validate", help="oracle-agreement suite")
-    p_val.add_argument("--cases", default="all",
-                       help="comma list from erlang,sim,ordering,determinism; "
-                            "each sim case runs at its own length")
+    sub.add_parser("validate", help="oracle-agreement suite, as the acceptance gate runs it")
 
     args = parser.parse_args(argv)
 
     if args.command == "run":
-        config = _load(args)
+        config = _load(args, p_run)
         try:
             run_single(config, out_path=args.out, la_trace_path=args.la_trace,
                        event_trace_path=args.event_trace)
@@ -340,7 +339,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "sweep":
-        base = _load(args)
+        base = _load(args, p_sweep)
         try:
             spec = SweepSpec(base_config=base, k_values=args.k,
                              seeds=tuple(base.master_seed + i for i in range(args.seeds)),
@@ -354,10 +353,7 @@ def main(argv=None) -> int:
             sys.stdout.write(text)
         return 0
 
-    try:  # validate
-        checks, ok = run_validate(args.cases)
-    except ValueError as e:
-        p_val.error(f"argument --cases: {e}")
+    checks, ok = run_validate()
     for c in checks:
         status = "PASS" if c.passed else "FAIL"
         print(f"{status}  {c.name}: observed {c.observed}, "

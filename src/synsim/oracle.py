@@ -94,7 +94,7 @@ def _static(seed: int, hold_mode: str, traffic: TrafficModel,
                      initial_params=params)
 
 
-# The first three rows are acceptance criteria 1-2; tests pin them together.
+# `synsim validate` runs every row; the first three are acceptance criteria 1-2.
 ORACLE_CASES = (
     OracleCase("exponential single class m=10",
                _static(101, "exponential", TrafficModel(lambda1=5, k=0.0, mu=1),

@@ -15,10 +15,10 @@ from scipy.stats import spearmanr
 import conftest
 
 from synsim.automata import Automaton
-from synsim.domain import DefenseParams, SimConfig, TrafficModel
+from synsim.domain import SimConfig, TrafficModel
 from synsim.engine import RequestClass, run_simulation
-from synsim.harness import SweepSpec, run_sweep, window_csv
-from synsim.oracle import erlang_b, two_class_loss
+from synsim.harness import SweepSpec, run_sweep, run_validate, window_csv
+from synsim.oracle import ORACLE_CASES
 
 SWEEP_KS = (0.5, 1.0, 1.5, 2.0)
 
@@ -46,51 +46,41 @@ def paper_sweep():
     return list(csv.DictReader(io.StringIO(text))), elapsed
 
 
+@pytest.fixture(scope="module")
+def validate_checks():
+    """`synsim validate`'s suite, run once, every oracle case at its own length."""
+    checks, _ = run_validate()
+    return checks
+
+
+def oracle_row(checks, row):
+    """The check of the run of ORACLE_CASES[row]."""
+    (check,) = (c for c in checks if c.name == f"sim {ORACLE_CASES[row].name}")
+    return check
+
+
 def medians(rows, k, controller):
     sel = [r for r in rows if float(r["k"]) == k and r["controller"] == controller]
     return {f: statistics.median(float(r[f]) for r in sel)
             for f in ("Ploss", "Pr", "Pa", "mean_h", "mean_m")}
 
 
-def test_criterion_1_single_class_oracle_agreement():
-    config = SimConfig(master_seed=101, controller_kind="static",
-                       hold_mode="exponential",
-                       traffic=TrafficModel(lambda1=5, k=0.0, mu=1),
-                       total_requests=1_000_000, window_size=1000,
-                       initial_params=DefenseParams(1e9, 10))
-    start = time.perf_counter()
-    result = run_simulation(config)
-    elapsed = time.perf_counter() - start
-    expected = erlang_b(10, 5.0)
-    ok = abs(result.cumulative.Ploss - expected) <= 0.003 and elapsed < 10.0
+def test_criterion_1_single_class_oracle_agreement(validate_checks):
+    check = oracle_row(validate_checks, 0)
+    ok = check.passed and check.seconds < 10.0
     assert report("1 single-class Erlang-B agreement", ok,
-                  f"Ploss {result.cumulative.Ploss:.5f} vs {expected:.5f}, "
-                  f"{elapsed:.1f}s")
+                  f"{check.observed} vs {check.expected}, {check.seconds:.1f}s")
 
 
-def test_criterion_2_two_class_oracle_agreement():
-    config = SimConfig(master_seed=102, controller_kind="static",
-                       hold_mode="exponential",
-                       traffic=TrafficModel(lambda1=1, k=1.0, mu=1e-9),
-                       total_requests=1_000_000, window_size=1000,
-                       initial_params=DefenseParams(1.0, 1))
-    c = run_simulation(config).cumulative
-    ok1 = (abs(c.Ploss - 2 / 3) <= 0.01 and abs(c.Pr - 1 / 3) <= 0.01
-           and abs(c.Pa - 1 / 3) <= 0.01)
+def test_criterion_2_two_class_oracle_agreement(validate_checks):
+    m1, m8 = (oracle_row(validate_checks, row) for row in (1, 2))
+    assert report("2 two-class CTMC agreement", m1.passed and m8.passed,
+                  f"m=1 {m1.observed}; m=8 {m8.observed}")
 
-    h, mu = 0.5, 100.0
-    sol = two_class_loss(8, 10.0, 10.0, mu + 1 / h, 1 / h)
-    config = SimConfig(master_seed=103, controller_kind="static",
-                       hold_mode="exponential",
-                       traffic=TrafficModel(lambda1=10, k=1.0, mu=mu),
-                       total_requests=1_000_000, window_size=1000,
-                       initial_params=DefenseParams(h, 8))
-    c2 = run_simulation(config).cumulative
-    ok2 = (abs(c2.Ploss - sol.Ploss) <= 0.005 and abs(c2.Pr - sol.Pr) <= 0.005
-           and abs(c2.Pa - sol.Pa) <= 0.005)
-    assert report("2 two-class CTMC agreement", ok1 and ok2,
-                  f"m=1 ({c.Ploss:.4f},{c.Pr:.4f},{c.Pa:.4f}); "
-                  f"m=8 Ploss {c2.Ploss:.4f} vs {sol.Ploss:.4f}")
+
+def test_every_validate_check_passes(validate_checks):
+    # the oracle rows past criteria 1-2 and the audits of `synsim validate`
+    assert [c.name for c in validate_checks if not c.passed] == []
 
 
 def test_criterion_3_update_arithmetic():

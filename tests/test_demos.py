@@ -13,7 +13,7 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 @pytest.mark.parametrize("demo, lines", [
     ("01_oracle_checks.py",
-     [f"=== {case.name} ===" for case in oracle.ORACLE_CASES] + ["  Ploss simulated"]),
+     [f"=== {case.name} ===" for case in oracle.ORACLE_CASES] + ["  simulated Ploss="]),
     ("02_static_vs_adaptive.py",
      ["--- static ---", "--- la ---", "  blocked fraction   Ploss = "]),
     ("03_attack_sweep.py",

@@ -1,15 +1,9 @@
 import math
-from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-import test_acceptance
-from synsim.engine import run_simulation
-from synsim.oracle import ORACLE_CASES, erlang_b, steady_state, two_class_loss
-
-FIELDS = ("Ploss", "Pr", "Pa")
+from synsim.oracle import erlang_b, two_class_loss
 
 
 def test_zero_servers_block_everything():
@@ -109,54 +103,3 @@ def test_single_class_reduces_to_erlang_b():
 def test_exchangeable_classes_are_symmetric():
     sol = two_class_loss(9, 4.0, 4.0, 1.5, 1.5)
     assert sol.Pr == pytest.approx(sol.Pa, abs=1e-9)
-
-
-def test_deterministic_hold_matches_closed_form():
-    case = next(c for c in ORACLE_CASES if c.name == "deterministic h=2 m=16")
-    config = replace(case.config, total_requests=300_000)
-    got = run_simulation(config).cumulative
-    want = steady_state(config)
-    for f in FIELDS:
-        assert abs(getattr(got, f) - getattr(want, f)) <= case.tol, f
-
-
-CRITERIA = (test_acceptance.test_criterion_1_single_class_oracle_agreement,
-            test_acceptance.test_criterion_2_two_class_oracle_agreement)
-
-
-def run_criteria(monkeypatch, row, scale):
-    """Run criteria 1-2 with the engine replaced by the closed form.
-
-    The row-th run reports every field off by scale times that table row's
-    tolerance.  Returns the configs the criteria ran and which passed.
-    """
-    configs = []
-
-    def closed_form(config):
-        shift = scale * ORACLE_CASES[row].tol if len(configs) == row else 0.0
-        configs.append(config)
-        want = steady_state(config)
-        return SimpleNamespace(cumulative=SimpleNamespace(
-            **{f: getattr(want, f) + shift for f in FIELDS}))
-
-    monkeypatch.setattr(test_acceptance, "run_simulation", closed_form)
-    monkeypatch.setattr(test_acceptance, "report", lambda name, ok, detail="": ok)
-    passed = []
-    for criterion in CRITERIA:
-        try:
-            criterion()
-            passed.append(True)
-        except AssertionError:
-            passed.append(False)
-    return configs, passed
-
-
-@pytest.mark.parametrize("row", range(3))
-def test_table_rows_are_criteria_1_and_2(monkeypatch, row):
-    # the table's first rows must be the configs criteria 1-2 simulate, in
-    # order, and each row's tolerance the bound its criterion applies
-    configs, passed = run_criteria(monkeypatch, row, 0.99)
-    assert configs == [case.config for case in ORACLE_CASES[:3]]
-    assert passed == [True, True]
-    _, passed = run_criteria(monkeypatch, row, 1.01)
-    assert passed == [row != 0, row == 0]
