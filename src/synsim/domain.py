@@ -103,8 +103,11 @@ def validate_config(config: SimConfig) -> list[str]:
         elif _is_int(config.total_requests) and config.total_requests >= 1e300 * t.lambda1:
             # a horizon near the largest float sends arrival times past it
             v.append("lambda1 must exceed total_requests / 1e300")
-    if _number("k", t.k, v) and t.k < 0:
-        v.append("k must be non-negative")
+    if _number("k", t.k, v):
+        if t.k < 0:
+            v.append("k must be non-negative")
+        elif _is_finite(t.lambda1) and not _is_finite(t.lambda2):
+            v.append("k must keep the attack rate k * lambda1 finite")
     if _number("mu", t.mu, v) and t.mu <= 0:
         v.append("mu must be strictly positive")
     p = config.initial_params

@@ -44,11 +44,12 @@ the last arrival is the same settle with until = inf.  Only the event trace
 orders events, in trace_events, which runs only when a trace is written.
 
 Bookkeeping keeps one representation per concept.  Every per-class count
-(arrivals, admissions, blocks, completions, expiries) is a [regular, attack]
-pair indexed by the RequestClass int, and each resident is one column of a
-records array, so the occupancy is a count of the records.  The run audit
-compares three tallies kept apart: admissions from admit_or_block's
-answers, departures from depart, and the residents still in the records.
+(arrivals, admissions, completions, expiries) is a [regular, attack] pair
+indexed by the RequestClass int; blocks are arrivals less admissions, and
+each resident is one column of a records array, so the occupancy is a count
+of the records.  The run audit compares three tallies kept apart:
+admissions from admit_or_block's answers, departures from depart, and the
+residents still in the records.
 
 Each arrival stream is sampled 8192 gaps at a time and keeps its unread
 absolute times, one np.cumsum per block (the same left-to-right sums as
@@ -192,7 +193,6 @@ class BacklogState:
         # [regular, attack] pairs
         self.arrivals = [0, 0]
         self.admitted = [0, 0]
-        self.blocked = [0, 0]
         self.completed = [0, 0]
         self.expired = [0, 0]
         self.integral = [0.0, 0.0]  # the last settle's time integral of occupancy / m
@@ -201,6 +201,11 @@ class BacklogState:
     def occupancy(self) -> list[int]:
         """Residents of each class: the records still held."""
         return _per_class(self.records[CLS])
+
+    @property
+    def blocked(self) -> list[int]:
+        """Blocks of each class: the arrivals not admitted."""
+        return [n - a for n, a in zip(self.arrivals, self.admitted)]
 
     def window_counters(self) -> tuple:
         """Running counts in finalize_window's argument order."""
@@ -274,7 +279,6 @@ class BacklogState:
         for cls in (0, 1):
             self.arrivals[cls] += arrivals[cls]
             self.admitted[cls] += admits[cls]
-            self.blocked[cls] += arrivals[cls] - admits[cls]
         records = np.concatenate((self.records, offered[:, admitted]), axis=1)
         self.records = records
         # each resident's time in [clock, until]
@@ -353,13 +357,10 @@ class ConservationError(AssertionError):
 
 def _audit(totals: RunTotals) -> None:
     for cls in RequestClass:
-        label = CLASS_LABEL[cls]
         if totals.admitted[cls] != (totals.completed[cls] + totals.expired[cls]
                                     + totals.residents_at_drain[cls]):
             raise ConservationError(
-                f"{label}: admitted != completed + expired + residents")
-        if totals.admitted[cls] + totals.blocked[cls] != totals.arrivals[cls]:
-            raise ConservationError(f"{label}: admitted + blocked != arrivals")
+                f"{CLASS_LABEL[cls]}: admitted != completed + expired + residents")
 
 
 def run_simulation(config: SimConfig, controller=None, seed: int | None = None,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import math
 import os
 import sys
 import time
@@ -93,23 +92,30 @@ def run_single(config: SimConfig, out_path: str | None = None,
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """One cell per (k, seed, controller), each a config validate_config accepts."""
+
     base_config: SimConfig
     k_values: tuple[float, ...] = DEFAULT_K_VALUES
     seeds: tuple[int, ...] = tuple(range(10))
     controllers: tuple[str, ...] = ("static", "la")
 
     def __post_init__(self):
-        if not self.k_values or not all(math.isfinite(k) and k >= 0 for k in self.k_values):
-            raise ValueError("k_values must be non-empty, finite and non-negative")
-        if not self.seeds:
-            raise ValueError("seeds must be non-empty")
-        if not self.controllers or any(c not in ("static", "la")
-                                       for c in self.controllers):
-            raise ValueError("controllers must be a subset of {static, la}")
         for name in ("k_values", "seeds", "controllers"):
             values = getattr(self, name)
+            if not values:
+                raise ValueError(f"{name} must be non-empty")
             if len(set(values)) < len(values):  # a repeat would run its cells twice
                 raise ValueError(f"{name} must not repeat a value")
+        for cell in self.cells():
+            violations = validate_config(cell)
+            if violations:  # each message starts with its field's name
+                raise ValueError(violations[0])
+
+    def cells(self) -> list[SimConfig]:
+        base = self.base_config
+        return [replace(base, traffic=replace(base.traffic, k=k),
+                        controller_kind=kind, master_seed=seed)
+                for k in self.k_values for seed in self.seeds for kind in self.controllers]
 
 
 def _run_cell(config: SimConfig):
@@ -125,10 +131,7 @@ def _run_cell(config: SimConfig):
 def run_sweep(spec: SweepSpec, out_path: str | None = None,
               workers: int | None = None) -> str:
     """One row per (k, seed, controller), sorted, as CSV text."""
-    base = spec.base_config
-    cells = [replace(base, traffic=replace(base.traffic, k=k),
-                     controller_kind=kind, master_seed=seed)
-             for k in spec.k_values for seed in spec.seeds for kind in spec.controllers]
+    cells = spec.cells()
     if workers is None:  # the CPUs this process may run on
         cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1)
@@ -159,12 +162,6 @@ class Check:
     seconds: float = 0.0  # wall time spent producing this check
 
 
-def _check_close(name: str, observed: float, expected: float,
-                 tol: float) -> Check:
-    return Check(name, abs(observed - expected) <= tol,
-                 f"{observed:.6g}", f"{expected:.6g} ± {tol:g}")
-
-
 def trace_ordering_ok(trace_text: str) -> bool:
     """Same-time scheduled departures must precede arrivals.
 
@@ -186,19 +183,6 @@ def trace_ordering_ok(trace_text: str) -> bool:
             return False
         prev_t, prev_rank = t, r
     return True
-
-
-def _erlang_checks():
-    yield _check_close("erlang_b(0, 1) = 1", oracle.erlang_b(0, 1.0), 1.0, 0.0)
-    yield _check_close("erlang_b(2, 1) = 0.2", oracle.erlang_b(2, 1.0), 0.2, 1e-12)
-    # cross-check recursion against the direct factorial sum
-    a, m = 5.0, 10
-    direct = (a ** m / math.factorial(m)) / sum(a ** n / math.factorial(n)
-                                                for n in range(m + 1))
-    yield _check_close("erlang_b(10, 5) vs direct sum", oracle.erlang_b(m, a),
-                       direct, 1e-12)
-    yield _check_close("erlang_b(10, 5) = 0.01838", oracle.erlang_b(10, 5.0),
-                       0.01838, 1e-5)
 
 
 def sim_checks():
@@ -238,7 +222,7 @@ def run_validate() -> tuple[list[Check], bool]:
     The acceptance gate runs this same suite once.
     """
     checks: list[Check] = []
-    for group in (_erlang_checks, sim_checks, _trace_checks):
+    for group in (sim_checks, _trace_checks):
         start = time.perf_counter()
         for check in group():
             now = time.perf_counter()
@@ -279,7 +263,7 @@ def _load(args, parser: argparse.ArgumentParser) -> SimConfig:
 
 def _out_path(path: str) -> str:
     """An output path, checked before any simulation runs: a file in an existing directory."""
-    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+    if not path or os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
         raise argparse.ArgumentTypeError(f"not a file in an existing directory: {path!r}")
     return path
 
@@ -292,16 +276,17 @@ def _workers(text: str) -> int:
 
 
 def _k_list(text: str) -> tuple[float, ...]:
-    """--k's comma list of attack ratios, each finite and non-negative."""
+    """--k's comma list of attack ratios; SweepSpec checks each one."""
     try:
-        ks = tuple(map(float, text.split(",")))
-        ok = all(math.isfinite(k) and k >= 0 for k in ks)
+        return tuple(map(float, text.split(",")))
     except ValueError:  # an empty item or a non-number
-        ok = False
-    if not ok:
         raise argparse.ArgumentTypeError(
-            f"must be a comma list of finite non-negative numbers, not {text!r}")
-    return ks
+            f"must be a comma list of numbers, not {text!r}") from None
+
+
+# the sweep flag behind each field a SweepSpec error can start with
+_SWEEP_FLAGS = {"k": "--k", "k_values": "--k", "controller_kind": "--controllers",
+                "controllers": "--controllers", "seeds": "--seeds"}
 
 
 def main(argv=None) -> int:
@@ -345,9 +330,7 @@ def main(argv=None) -> int:
                              seeds=tuple(base.master_seed + i for i in range(args.seeds)),
                              controllers=tuple(args.controllers.split(",")))
         except ValueError as e:  # the message starts with the field's name
-            field = str(e).split()[0]
-            flag = "--k" if field == "k_values" else "--" + field
-            p_sweep.error(f"argument {flag}: {e}")
+            p_sweep.error(f"argument {_SWEEP_FLAGS[str(e).split()[0]]}: {e}")
         text = run_sweep(spec, out_path=args.out, workers=args.workers)
         if not args.out:
             sys.stdout.write(text)

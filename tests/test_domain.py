@@ -131,6 +131,8 @@ def _loaded(**doc):
     (_loaded(initial_params={"h": 10, "m": True}), "m"),
     (_loaded(initial_params={"h": 10**400, "m": 128}), "h"),  # past the float range
     (_traffic(lambda1=10**400), "lambda1"),
+    # an attack rate k * lambda1 past the largest float: every attack time would be 0.0
+    (replace(_traffic(lambda1=10.0, k=1e308), total_requests=1000), "k"),
 ])
 def test_bad_config_rejected_naming_the_field(config, field):
     violations = validate_config(config)

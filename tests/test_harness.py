@@ -132,13 +132,25 @@ def test_sweep_spec_rejects_bad_inputs():
     with pytest.raises(ValueError):
         SweepSpec(base_config=cfg(), controllers=("bogus",))
     for k in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="k_values"):
+        with pytest.raises(ValueError, match="^k must be"):
             SweepSpec(base_config=cfg(), k_values=(0.5, k))
     # a repeat would run the same cells twice and write duplicate rows
     for name, values in (("k_values", (1.0, 0.5, 1.0)), ("seeds", (3, 3)),
                          ("controllers", ("static", "la", "static"))):
         with pytest.raises(ValueError, match=f"^{name} must not repeat a value"):
             SweepSpec(base_config=cfg(), **{name: values})
+
+
+def test_sweep_spec_checks_its_cells_when_built():
+    # validate_config's first violation of a cell, raised before any cell runs
+    with pytest.raises(ValueError, match="^master_seed must be non-negative"):
+        SweepSpec(base_config=SimConfig(master_seed=1, window_size=0), seeds=(-1,))
+    with pytest.raises(ValueError, match="^window_size must be at least 1"):
+        SweepSpec(base_config=SimConfig(master_seed=1, window_size=0), seeds=(1,))
+    with pytest.raises(ValueError, match="^master_seed must be non-negative"):
+        SweepSpec(base_config=cfg(), seeds=(0, -1))
+    with pytest.raises(ValueError, match="^k must keep the attack rate"):
+        SweepSpec(base_config=cfg(), k_values=(0.5, 1e308))
 
 
 def test_default_workers_follow_the_cpu_affinity(monkeypatch):
@@ -211,7 +223,8 @@ def test_cli_sweep_takes_no_trace_flags(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["sweep", "--seed", "1", "--controllers", "bogus"], "argument --controllers: controllers"),
+    (["sweep", "--seed", "1", "--controllers", "bogus"],
+     "argument --controllers: controller_kind"),
     (["sweep", "--seed", "1", "--controllers", "static,static"],
      "argument --controllers: controllers must not repeat"),
     (["sweep", "--seed", "1", "--seeds", "0"], "argument --seeds: seeds must be non-empty"),
@@ -230,6 +243,11 @@ def test_cli_sweep_takes_no_trace_flags(tmp_path, capsys):
     (["sweep", "--seed", "1", "--workers", "0"],
      "argument --workers: must be a positive integer, not '0'"),
     (["sweep", "--seed", "1", "--workers", "-2"], "argument --workers: must be a positive"),
+    # an empty path is no path: it would write nothing, or the CSV to stdout
+    (["run", "--seed", "1", "--out", ""], "argument --out: not a file"),
+    (["run", "--seed", "1", "--la-trace", ""], "argument --la-trace: not a file"),
+    (["run", "--seed", "1", "--event-trace", ""], "argument --event-trace: not a file"),
+    (["sweep", "--seed", "1", "--out", ""], "argument --out: not a file"),
 ])
 def test_cli_input_errors_are_usage_errors(argv, message, tmp_path, monkeypatch, capsys):
     # exit status 2 and one error line naming the flag, before any simulation runs
@@ -254,7 +272,7 @@ def test_cli_sweep_rejects_a_bad_k_grid(flags, capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["sweep", "--seed", "1", *flags])
     assert exit_info.value.code == 2
-    assert "argument --k: must be a comma list" in capsys.readouterr().err
+    assert "argument --k:" in capsys.readouterr().err.splitlines()[-1]
 
 
 def test_cli_sweep_defaults_are_the_sweep_spec_defaults(monkeypatch):
@@ -299,7 +317,7 @@ def test_cli_validate_exit_status(monkeypatch, capsys):
             for case in ORACLE_CASES])
         rc = main(["validate"])
         lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 4 + len(ORACLE_CASES) + 2  # erlang, sim and trace checks
+        assert len(lines) == len(ORACLE_CASES) + 2  # sim and trace checks
         assert all(re.fullmatch(r"(PASS|FAIL)  .* \[\d+\.\d{3} s\]", line) for line in lines)
         assert rc == status == (0 if all(line.startswith("PASS") for line in lines) else 1)
 
