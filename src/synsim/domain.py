@@ -49,6 +49,8 @@ class TrafficModel:
 
 @dataclass(frozen=True)
 class SimConfig:
+    """One run's settings; building one that validate_config rejects raises ValueError."""
+
     master_seed: int
     traffic: TrafficModel = field(default_factory=TrafficModel)
     total_requests: int = 50000
@@ -57,6 +59,11 @@ class SimConfig:
     initial_params: DefenseParams = field(
         default_factory=lambda: DefenseParams(75.0, 128))
     hold_mode: str = "deterministic"            # "deterministic" | "exponential"
+
+    def __post_init__(self):
+        violations = validate_config(self)
+        if violations:
+            raise ValueError("invalid config: " + "; ".join(violations))
 
 
 def _is_int(value) -> bool:
@@ -153,9 +160,9 @@ def config_from_dict(data: dict) -> SimConfig:
     """Build a SimConfig from a plain dict (e.g. parsed JSON).
 
     Every key is optional except master_seed; keys mirror the field names.
-    Unknown or missing keys, nested ones included, raise ValueError.  A
-    finite number h becomes a float; any other value is kept as it is, for
-    validate_config to report.
+    Unknown or missing keys, nested ones included, raise ValueError, and
+    so does a value validate_config rejects.  A finite number h becomes a
+    float.
     """
     kwargs = _keys(SimConfig, data, "config")
     if "traffic" in kwargs:

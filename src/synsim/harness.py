@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 from . import oracle
 from .controller import LaController, make_controller
-from .domain import SimConfig, load_config, validate_config
+from .domain import SimConfig, load_config
 from .engine import run_simulation
 
 WINDOW_COLUMNS = ("window_index", "k", "controller", "h", "m",
@@ -92,7 +92,7 @@ def run_single(config: SimConfig, out_path: str | None = None,
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One cell per (k, seed, controller), each a config validate_config accepts."""
+    """One cell per (k, seed, controller); building the spec builds, and so checks, each cell."""
 
     base_config: SimConfig
     k_values: tuple[float, ...] = DEFAULT_K_VALUES
@@ -106,10 +106,7 @@ class SweepSpec:
                 raise ValueError(f"{name} must be non-empty")
             if len(set(values)) < len(values):  # a repeat would run its cells twice
                 raise ValueError(f"{name} must not repeat a value")
-        for cell in self.cells():
-            violations = validate_config(cell)
-            if violations:  # each message starts with its field's name
-                raise ValueError(violations[0])
+        self.cells()  # a cell validate_config rejects raises from replace
 
     def cells(self) -> list[SimConfig]:
         base = self.base_config
@@ -136,6 +133,8 @@ def run_sweep(spec: SweepSpec, out_path: str | None = None,
         cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1)
         workers = min(len(cells), cpus)
+    elif workers < 1:
+        raise ValueError(f"workers must be at least 1, not {workers!r}")
     if workers > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_cell, cells, chunksize=1))
@@ -241,23 +240,28 @@ def _add_shared_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", type=_out_path, help="output CSV path")
 
 
+def _reason(error: ValueError) -> str:
+    """A config error's message without its prefix, so it starts with the field's name."""
+    return str(error).removeprefix("invalid config: ")
+
+
 def _load(args, parser: argparse.ArgumentParser) -> SimConfig:
-    if args.config:
+    """The config --config and --seed give; a bad one is a usage error naming the flag."""
+    if args.config is None and args.seed is None:
+        parser.error("need --config or --seed")
+    if args.config is not None:
         try:
             config = load_config(args.config)
         except OSError as e:  # a missing or unreadable file
             parser.error(f"argument --config: {e.strerror}: {args.config!r}")
-        except ValueError as e:  # bad JSON, or a key config_from_dict rejects
-            raise SystemExit(f"invalid config: {e}") from None
-    elif args.seed is not None:
-        config = SimConfig(master_seed=args.seed)
-    else:
-        raise SystemExit("need --config or --seed")
+        except ValueError as e:  # bad JSON, or a key or value the config rejects
+            parser.error(f"argument --config: {_reason(e)}")
     if args.seed is not None:
-        config = replace(config, master_seed=args.seed)
-    violations = validate_config(config)
-    if violations:
-        raise SystemExit("invalid config: " + "; ".join(violations))
+        try:
+            config = (SimConfig(master_seed=args.seed) if args.config is None
+                      else replace(config, master_seed=args.seed))
+        except ValueError as e:  # a seed below 0
+            parser.error(f"argument --seed: {_reason(e)}")
     return config
 
 
@@ -266,13 +270,6 @@ def _out_path(path: str) -> str:
     if not path or os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
         raise argparse.ArgumentTypeError(f"not a file in an existing directory: {path!r}")
     return path
-
-
-def _workers(text: str) -> int:
-    """--workers: a positive process count."""
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, not {text!r}")
-    return int(text)
 
 
 def _k_list(text: str) -> tuple[float, ...]:
@@ -284,9 +281,9 @@ def _k_list(text: str) -> tuple[float, ...]:
             f"must be a comma list of numbers, not {text!r}") from None
 
 
-# the sweep flag behind each field a SweepSpec error can start with
+# the sweep flag behind each field a SweepSpec or run_sweep error can start with
 _SWEEP_FLAGS = {"k": "--k", "k_values": "--k", "controller_kind": "--controllers",
-                "controllers": "--controllers", "seeds": "--seeds"}
+                "controllers": "--controllers", "seeds": "--seeds", "workers": "--workers"}
 
 
 def main(argv=None) -> int:
@@ -308,7 +305,7 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--seeds", type=int, default=len(SweepSpec.seeds),
                          help="number of replicate seeds")
     p_sweep.add_argument("--controllers", default=",".join(SweepSpec.controllers))
-    p_sweep.add_argument("--workers", type=_workers, default=None)
+    p_sweep.add_argument("--workers", type=int, default=None)
 
     sub.add_parser("validate", help="oracle-agreement suite, as the acceptance gate runs it")
 
@@ -329,9 +326,11 @@ def main(argv=None) -> int:
             spec = SweepSpec(base_config=base, k_values=args.k,
                              seeds=tuple(base.master_seed + i for i in range(args.seeds)),
                              controllers=tuple(args.controllers.split(",")))
-        except ValueError as e:  # the message starts with the field's name
-            p_sweep.error(f"argument {_SWEEP_FLAGS[str(e).split()[0]]}: {e}")
-        text = run_sweep(spec, out_path=args.out, workers=args.workers)
+            text = run_sweep(spec, out_path=args.out, workers=args.workers)
+        except ValueError as e:  # a usage error's message starts with the field's name
+            if (flag := _SWEEP_FLAGS.get(_reason(e).partition(" ")[0])) is None:
+                raise  # a run-time error, not a bad flag
+            p_sweep.error(f"argument {flag}: {_reason(e)}")
         if not args.out:
             sys.stdout.write(text)
         return 0

@@ -183,7 +183,6 @@ def test_criterion_9_conservation_audit():
                                window_size=500)
             t = run_simulation(config).totals
             for cls in RequestClass:
-                ok = ok and (t.admitted[cls] == t.completed[cls]
-                             + t.expired[cls] + t.residents_at_drain[cls])
+                ok = ok and t.admitted[cls] == t.completed[cls] + t.expired[cls]
                 ok = ok and (t.admitted[cls] + t.blocked[cls] == t.arrivals[cls])
     assert report("9 per-class conservation exact", ok)

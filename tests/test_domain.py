@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import replace
+from functools import partial
 from unittest import mock
 
 import pytest
@@ -25,26 +26,38 @@ def test_paper_baseline_is_valid():
 
 
 def test_zero_hold_time_rejected():
-    cfg = _cfg(initial_params=DefenseParams(0.0, 128))
-    assert "h must be strictly positive" in validate_config(cfg)
+    with pytest.raises(ValueError, match="h must be strictly positive"):
+        _cfg(initial_params=DefenseParams(0.0, 128))
 
 
 def test_window_larger_than_run_rejected():
-    cfg = _cfg(total_requests=500, window_size=1000)
-    assert "window exceeds total requests" in validate_config(cfg)
+    with pytest.raises(ValueError, match="window exceeds total requests"):
+        _cfg(total_requests=500, window_size=1000)
 
 
 def test_all_violations_reported_not_just_first():
-    cfg = _cfg(traffic=TrafficModel(lambda1=-1, k=-2, mu=0),
-               initial_params=DefenseParams(-1.0, 0))
-    violations = validate_config(cfg)
-    assert len(violations) >= 5
+    with pytest.raises(ValueError, match="^invalid config: ") as error:
+        _cfg(traffic=TrafficModel(lambda1=-1, k=-2, mu=0),
+             initial_params=DefenseParams(-1.0, 0))
+    assert len(str(error.value).split("; ")) >= 5
 
 
 def test_validation_is_total_on_weird_inputs():
-    cfg = _cfg(controller_kind="bogus", hold_mode="bogus", window_size="bogus")
-    violations = validate_config(cfg)
-    assert violations  # returns a list, never raises
+    # every rule is checked, and a bad value is a ValueError, never another exception
+    with pytest.raises(ValueError, match="^invalid config: ") as error:
+        _cfg(controller_kind="bogus", hold_mode="bogus", window_size="bogus")
+    assert all(name in str(error.value)
+               for name in ("window_size", "controller_kind", "hold_mode"))
+
+
+def test_an_invalid_config_cannot_be_built():
+    # built, replaced into or loaded: each way raises, naming the field
+    with pytest.raises(ValueError, match="^invalid config: h must be strictly positive$"):
+        SimConfig(master_seed=1, initial_params=DefenseParams(0.0, 64))
+    with pytest.raises(ValueError, match="^invalid config: window_size must be at least 1$"):
+        replace(SimConfig(master_seed=1), window_size=0)
+    with pytest.raises(ValueError, match="^invalid config: h must be a finite number$"):
+        config_from_dict({"master_seed": 1, "initial_params": {"h": None, "m": 64}})
 
 
 @given(st.floats(0, 1e6, allow_nan=False), st.floats(0, 1e3, allow_nan=False))
@@ -95,50 +108,53 @@ def _loaded(**doc):
     return config_from_dict({"master_seed": 1, **doc})
 
 
+# each row's config is a thunk: building the config is what raises
 @pytest.mark.parametrize("config, field", [
-    (_traffic(lambda1=NAN), "lambda1"),
-    (_traffic(lambda1=INF), "lambda1"),
-    (_traffic(lambda1=0.0), "lambda1"),
-    (_traffic(k=NAN), "k"),
-    (_traffic(k=INF), "k"),
-    (_traffic(mu=NAN), "mu"),
-    (_traffic(mu=INF), "mu"),
-    (replace(BASE, initial_params=DefenseParams(NAN, 128)), "h"),
-    (replace(BASE, initial_params=DefenseParams(INF, 128)), "h"),
-    (replace(BASE, initial_params=DefenseParams(75.0, 2.5)), "m"),
+    (partial(_traffic, lambda1=NAN), "lambda1"),
+    (partial(_traffic, lambda1=INF), "lambda1"),
+    (partial(_traffic, lambda1=0.0), "lambda1"),
+    (partial(_traffic, k=NAN), "k"),
+    (partial(_traffic, k=INF), "k"),
+    (partial(_traffic, mu=NAN), "mu"),
+    (partial(_traffic, mu=INF), "mu"),
+    (partial(replace, BASE, initial_params=DefenseParams(NAN, 128)), "h"),
+    (partial(replace, BASE, initial_params=DefenseParams(INF, 128)), "h"),
+    (partial(replace, BASE, initial_params=DefenseParams(75.0, 2.5)), "m"),
     # each rule no other row reaches, once
-    (_traffic(lambda1=True), "lambda1"),  # a JSON true is not a number
-    (_traffic(k=-1.0), "k"),
-    (_traffic(mu=0.0), "mu"),
-    (replace(BASE, initial_params=DefenseParams(-1.0, 128)), "h"),
-    (replace(BASE, initial_params=DefenseParams(75.0, 0)), "m"),
-    (replace(BASE, window_size=0), "window_size"),
-    (replace(BASE, total_requests=500, window_size=1000), "window"),
-    (replace(BASE, master_seed=1.5), "master_seed"),
-    (replace(BASE, window_size=500.5), "window_size"),
-    (replace(BASE, total_requests=True), "total_requests"),
-    (replace(BASE, master_seed=-1), "master_seed"),
-    (replace(BASE, total_requests=5300), "total_requests"),  # 10.6 windows
+    (partial(_traffic, lambda1=True), "lambda1"),  # a JSON true is not a number
+    (partial(_traffic, k=-1.0), "k"),
+    (partial(_traffic, mu=0.0), "mu"),
+    (partial(replace, BASE, initial_params=DefenseParams(-1.0, 128)), "h"),
+    (partial(replace, BASE, initial_params=DefenseParams(75.0, 0)), "m"),
+    (partial(replace, BASE, window_size=0), "window_size"),
+    (partial(replace, BASE, total_requests=500, window_size=1000), "window"),
+    (partial(replace, BASE, master_seed=1.5), "master_seed"),
+    (partial(replace, BASE, window_size=500.5), "window_size"),
+    (partial(replace, BASE, total_requests=True), "total_requests"),
+    (partial(replace, BASE, master_seed=-1), "master_seed"),
+    (partial(replace, BASE, total_requests=5300), "total_requests"),  # 10.6 windows
     # arrival times past the largest float: every window's Pr, Pa and J would be nan
-    (replace(_traffic(lambda1=1e-308, k=0.0), total_requests=4, window_size=4), "lambda1"),
-    # loaded values that are not numbers, or not grids, are kept for validation
-    (_loaded(initial_params={"h": True, "m": 128}), "h"),
-    (_loaded(initial_params={"h": "abc", "m": 128}), "h"),
-    (_loaded(initial_params={"h": None, "m": 128}), "h"),
-    (_loaded(initial_params={"h": [1], "m": 128}), "h"),
-    (replace(BASE, controller_kind="bogus"), "controller_kind"),
-    (replace(BASE, hold_mode="bogus"), "hold_mode"),
-    (_loaded(initial_params={"h": 10, "m": True}), "m"),
-    (_loaded(initial_params={"h": 10**400, "m": 128}), "h"),  # past the float range
-    (_traffic(lambda1=10**400), "lambda1"),
+    (partial(replace, BASE, traffic=TrafficModel(lambda1=1e-308, k=0.0), total_requests=4,
+             window_size=4), "lambda1"),
+    # loaded values that are not numbers are rejected when the config is built
+    (partial(_loaded, initial_params={"h": True, "m": 128}), "h"),
+    (partial(_loaded, initial_params={"h": "abc", "m": 128}), "h"),
+    (partial(_loaded, initial_params={"h": None, "m": 128}), "h"),
+    (partial(_loaded, initial_params={"h": [1], "m": 128}), "h"),
+    (partial(replace, BASE, controller_kind="bogus"), "controller_kind"),
+    (partial(replace, BASE, hold_mode="bogus"), "hold_mode"),
+    (partial(_loaded, initial_params={"h": 10, "m": True}), "m"),
+    (partial(_loaded, initial_params={"h": 10**400, "m": 128}), "h"),  # past the float range
+    (partial(_traffic, lambda1=10**400), "lambda1"),
     # an attack rate k * lambda1 past the largest float: every attack time would be 0.0
-    (replace(_traffic(lambda1=10.0, k=1e308), total_requests=1000), "k"),
+    (partial(replace, BASE, traffic=TrafficModel(lambda1=10.0, k=1e308), total_requests=1000),
+     "k"),
 ])
 def test_bad_config_rejected_naming_the_field(config, field):
-    violations = validate_config(config)
-    assert violations and all(v.startswith(field + " ") for v in violations)
-    with pytest.raises(ValueError, match=f"invalid config: {field} "):
-        run_simulation(config)
+    with pytest.raises(ValueError, match=f"^invalid config: {field} ") as error:
+        config()
+    violations = str(error.value).removeprefix("invalid config: ").split("; ")
+    assert all(v.startswith(field + " ") for v in violations)
 
 
 @pytest.mark.parametrize("doc, key", [
@@ -184,11 +200,9 @@ def test_valid_configs_give_meaningful_runs(seed, lambda1, k, mu, h, m, window,
         report = run_simulation(config)
     t = report.totals
     for cls in t.arrivals:
-        assert t.admitted[cls] == (t.completed[cls] + t.expired[cls]
-                                   + t.residents_at_drain[cls])
+        assert t.admitted[cls] == t.completed[cls] + t.expired[cls]
         assert t.admitted[cls] + t.blocked[cls] == t.arrivals[cls]
     assert sum(t.arrivals.values()) == total
-    assert sum(t.residents_at_drain.values()) == 0
     c = report.cumulative
     assert c.arrivals_regular + c.arrivals_attack == total
     for w in report.windows + [report.cumulative]:

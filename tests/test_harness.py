@@ -132,7 +132,7 @@ def test_sweep_spec_rejects_bad_inputs():
     with pytest.raises(ValueError):
         SweepSpec(base_config=cfg(), controllers=("bogus",))
     for k in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="^k must be"):
+        with pytest.raises(ValueError, match="^invalid config: k must be"):
             SweepSpec(base_config=cfg(), k_values=(0.5, k))
     # a repeat would run the same cells twice and write duplicate rows
     for name, values in (("k_values", (1.0, 0.5, 1.0)), ("seeds", (3, 3)),
@@ -142,15 +142,28 @@ def test_sweep_spec_rejects_bad_inputs():
 
 
 def test_sweep_spec_checks_its_cells_when_built():
-    # validate_config's first violation of a cell, raised before any cell runs
-    with pytest.raises(ValueError, match="^master_seed must be non-negative"):
+    # a cell validate_config rejects cannot be built, so the spec raises before any cell
+    # runs; a bad base config raises when it is built, before any seed is applied
+    with pytest.raises(ValueError, match="^invalid config: window_size must be at least 1"):
         SweepSpec(base_config=SimConfig(master_seed=1, window_size=0), seeds=(-1,))
-    with pytest.raises(ValueError, match="^window_size must be at least 1"):
+    with pytest.raises(ValueError, match="^invalid config: window_size must be at least 1"):
         SweepSpec(base_config=SimConfig(master_seed=1, window_size=0), seeds=(1,))
-    with pytest.raises(ValueError, match="^master_seed must be non-negative"):
+    with pytest.raises(ValueError, match="^invalid config: master_seed must be non-negative"):
         SweepSpec(base_config=cfg(), seeds=(0, -1))
-    with pytest.raises(ValueError, match="^k must keep the attack rate"):
+    with pytest.raises(ValueError, match="^invalid config: k must keep the attack rate"):
         SweepSpec(base_config=cfg(), k_values=(0.5, 1e308))
+
+
+@pytest.mark.parametrize("workers", [0, -5])
+def test_sweep_rejects_a_bad_worker_count(workers, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a cell or pool started")
+
+    monkeypatch.setattr(harness, "_run_cell", no_run)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_run)
+    spec = SweepSpec(base_config=cfg(), k_values=(0.5,), seeds=(1,))
+    with pytest.raises(ValueError, match=f"^workers must be at least 1, not {workers}$"):
+        run_sweep(spec, workers=workers)
 
 
 def test_default_workers_follow_the_cpu_affinity(monkeypatch):
@@ -191,11 +204,14 @@ def test_cli_run_with_config(tmp_path, capsys):
     ({"initial_params": {"h": None, "m": 64}}, "h must be a finite number"),
     ({"typo": 1}, "unknown config keys: \\['typo'\\]"),
 ])
-def test_cli_run_names_a_bad_loaded_field(tmp_path, doc, message):
+def test_cli_run_names_a_bad_loaded_field(tmp_path, doc, message, capsys):
     config_path = tmp_path / "cfg.json"
     config_path.write_text(json.dumps({"master_seed": 7, **doc}), encoding="utf-8")
-    with pytest.raises(SystemExit, match=f"^invalid config: {message}"):
+    with pytest.raises(SystemExit) as exit_info:
         main(["run", "--config", str(config_path)])
+    assert exit_info.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert re.match(f"synsim run: error: argument --config: {message}$", last)
 
 
 def test_cli_sweep(tmp_path):
@@ -241,13 +257,18 @@ def test_cli_sweep_takes_no_trace_flags(tmp_path, capsys):
     (["run", "--config", "missing.json"],
      "argument --config: No such file or directory: 'missing.json'"),
     (["sweep", "--seed", "1", "--workers", "0"],
-     "argument --workers: must be a positive integer, not '0'"),
-    (["sweep", "--seed", "1", "--workers", "-2"], "argument --workers: must be a positive"),
+     "argument --workers: workers must be at least 1, not 0"),
+    (["sweep", "--seed", "1", "--workers", "-2"], "argument --workers: workers must be at least"),
     # an empty path is no path: it would write nothing, or the CSV to stdout
     (["run", "--seed", "1", "--out", ""], "argument --out: not a file"),
     (["run", "--seed", "1", "--la-trace", ""], "argument --la-trace: not a file"),
     (["run", "--seed", "1", "--event-trace", ""], "argument --event-trace: not a file"),
     (["sweep", "--seed", "1", "--out", ""], "argument --out: not a file"),
+    (["run", "--seed", "-1"], "argument --seed: master_seed must be non-negative"),
+    (["run", "--config", ""], "argument --config: No such file or directory: ''"),
+    (["run", "--config", "bad_h.json"], "argument --config: h must be a finite number"),
+    (["sweep", "--config", "not_json.json"], "argument --config: Expecting value"),
+    (["run"], "need --config or --seed"),
 ])
 def test_cli_input_errors_are_usage_errors(argv, message, tmp_path, monkeypatch, capsys):
     # exit status 2 and one error line naming the flag, before any simulation runs
@@ -258,6 +279,9 @@ def test_cli_input_errors_are_usage_errors(argv, message, tmp_path, monkeypatch,
     monkeypatch.chdir(tmp_path)
     (tmp_path / "static.json").write_text(
         '{"master_seed": 1, "controller_kind": "static"}', encoding="utf-8")
+    (tmp_path / "bad_h.json").write_text(
+        '{"master_seed": 1, "initial_params": {"h": null, "m": 64}}', encoding="utf-8")
+    (tmp_path / "not_json.json").write_text("master_seed = 1", encoding="utf-8")
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
     assert exit_info.value.code == 2
@@ -273,6 +297,16 @@ def test_cli_sweep_rejects_a_bad_k_grid(flags, capsys):
         main(["sweep", "--seed", "1", *flags])
     assert exit_info.value.code == 2
     assert "argument --k:" in capsys.readouterr().err.splitlines()[-1]
+
+
+def test_cli_sweep_run_time_errors_are_not_usage_errors(monkeypatch):
+    # only an error that names a sweep field is a usage error
+    def fail(spec, **kwargs):
+        raise ValueError("empty window")
+
+    monkeypatch.setattr(harness, "run_sweep", fail)
+    with pytest.raises(ValueError, match="^empty window$"):
+        main(["sweep", "--seed", "1"])
 
 
 def test_cli_sweep_defaults_are_the_sweep_spec_defaults(monkeypatch):
