@@ -13,7 +13,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from . import oracle
 from .controller import LaController, make_controller
@@ -69,7 +69,7 @@ def run_single(config: SimConfig, out_path: str | None = None,
     """Run one simulation; write the window CSV and optional traces."""
     controller = make_controller(config)
     if la_trace_path and not isinstance(controller, LaController):
-        raise ValueError("--la-trace requires the la controller")
+        raise ValueError("la_trace_path requires the la controller")
     trace_file = open(event_trace_path, "w") if event_trace_path else None
     try:
         report = run_simulation(config, controller=controller, event_trace=trace_file)
@@ -98,6 +98,7 @@ class SweepSpec:
     k_values: tuple[float, ...] = DEFAULT_K_VALUES
     seeds: tuple[int, ...] = tuple(range(10))
     controllers: tuple[str, ...] = ("static", "la")
+    cells: tuple[SimConfig, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("k_values", "seeds", "controllers"):
@@ -106,13 +107,12 @@ class SweepSpec:
                 raise ValueError(f"{name} must be non-empty")
             if len(set(values)) < len(values):  # a repeat would run its cells twice
                 raise ValueError(f"{name} must not repeat a value")
-        self.cells()  # a cell validate_config rejects raises from replace
-
-    def cells(self) -> list[SimConfig]:
+        # built once, here: a cell validate_config rejects raises from replace
         base = self.base_config
-        return [replace(base, traffic=replace(base.traffic, k=k),
-                        controller_kind=kind, master_seed=seed)
-                for k in self.k_values for seed in self.seeds for kind in self.controllers]
+        object.__setattr__(self, "cells", tuple(
+            replace(base, traffic=replace(base.traffic, k=k), controller_kind=kind,
+                    master_seed=seed)
+            for k in self.k_values for seed in self.seeds for kind in self.controllers))
 
 
 def _run_cell(config: SimConfig):
@@ -128,7 +128,7 @@ def _run_cell(config: SimConfig):
 def run_sweep(spec: SweepSpec, out_path: str | None = None,
               workers: int | None = None) -> str:
     """One row per (k, seed, controller), sorted, as CSV text."""
-    cells = spec.cells()
+    cells = spec.cells
     if workers is None:  # the CPUs this process may run on
         cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1)
@@ -246,23 +246,18 @@ def _reason(error: ValueError) -> str:
 
 
 def _load(args, parser: argparse.ArgumentParser) -> SimConfig:
-    """The config --config and --seed give; a bad one is a usage error naming the flag."""
+    """The config --config and --seed give; any error in a loaded file names --config."""
     if args.config is None and args.seed is None:
         parser.error("need --config or --seed")
-    if args.config is not None:
-        try:
-            config = load_config(args.config)
-        except OSError as e:  # a missing or unreadable file
-            parser.error(f"argument --config: {e.strerror}: {args.config!r}")
-        except ValueError as e:  # bad JSON, or a key or value the config rejects
-            parser.error(f"argument --config: {_reason(e)}")
-    if args.seed is not None:
-        try:
-            config = (SimConfig(master_seed=args.seed) if args.config is None
-                      else replace(config, master_seed=args.seed))
-        except ValueError as e:  # a seed below 0
-            parser.error(f"argument --seed: {_reason(e)}")
-    return config
+    if args.config is None:
+        return SimConfig(master_seed=args.seed)
+    try:
+        config = load_config(args.config)
+    except OSError as e:  # a missing or unreadable file
+        parser.error(f"argument --config: {e.strerror}: {args.config!r}")
+    except ValueError as e:  # bad JSON, or a key or value the config rejects
+        parser.error(f"argument --config: {_reason(e)}")
+    return config if args.seed is None else replace(config, master_seed=args.seed)
 
 
 def _out_path(path: str) -> str:
@@ -281,9 +276,10 @@ def _k_list(text: str) -> tuple[float, ...]:
             f"must be a comma list of numbers, not {text!r}") from None
 
 
-# the sweep flag behind each field a SweepSpec or run_sweep error can start with
-_SWEEP_FLAGS = {"k": "--k", "k_values": "--k", "controller_kind": "--controllers",
-                "controllers": "--controllers", "seeds": "--seeds", "workers": "--workers"}
+# the flag behind each field or parameter a library error can start with
+_FLAGS = {"master_seed": "--seed", "la_trace_path": "--la-trace", "k": "--k", "k_values": "--k",
+          "controller_kind": "--controllers", "controllers": "--controllers",
+          "seeds": "--seeds", "workers": "--workers"}
 
 
 def main(argv=None) -> int:
@@ -311,36 +307,32 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
 
-    if args.command == "run":
-        config = _load(args, p_run)
-        try:
+    if args.command == "validate":
+        checks, ok = run_validate()
+        for c in checks:
+            status = "PASS" if c.passed else "FAIL"
+            print(f"{status}  {c.name}: observed {c.observed}, "
+                  f"expected {c.expected} [{c.seconds:.3f} s]")
+        return 0 if ok else 1
+
+    command = p_run if args.command == "run" else p_sweep
+    try:
+        config = _load(args, command)
+        if args.command == "run":
             run_single(config, out_path=args.out, la_trace_path=args.la_trace,
                        event_trace_path=args.event_trace)
-        except ValueError as e:  # a flag run_single rejects; the message names it
-            p_run.error(str(e))
-        return 0
-
-    if args.command == "sweep":
-        base = _load(args, p_sweep)
-        try:
-            spec = SweepSpec(base_config=base, k_values=args.k,
-                             seeds=tuple(base.master_seed + i for i in range(args.seeds)),
-                             controllers=tuple(args.controllers.split(",")))
-            text = run_sweep(spec, out_path=args.out, workers=args.workers)
-        except ValueError as e:  # a usage error's message starts with the field's name
-            if (flag := _SWEEP_FLAGS.get(_reason(e).partition(" ")[0])) is None:
-                raise  # a run-time error, not a bad flag
-            p_sweep.error(f"argument {flag}: {_reason(e)}")
-        if not args.out:
-            sys.stdout.write(text)
-        return 0
-
-    checks, ok = run_validate()
-    for c in checks:
-        status = "PASS" if c.passed else "FAIL"
-        print(f"{status}  {c.name}: observed {c.observed}, "
-              f"expected {c.expected} [{c.seconds:.3f} s]")
-    return 0 if ok else 1
+            return 0
+        spec = SweepSpec(base_config=config, k_values=args.k,
+                         seeds=tuple(config.master_seed + i for i in range(args.seeds)),
+                         controllers=tuple(args.controllers.split(",")))
+        text = run_sweep(spec, out_path=args.out, workers=args.workers)
+    except ValueError as e:  # an input the library rejects: the message starts with its field
+        if (flag := _FLAGS.get(_reason(e).partition(" ")[0])) is None:
+            raise  # a run-time error, not a bad flag
+        command.error(f"argument {flag}: {_reason(e)}")
+    if not args.out:
+        sys.stdout.write(text)
+    return 0
 
 
 if __name__ == "__main__":

@@ -154,6 +154,21 @@ def test_sweep_spec_checks_its_cells_when_built():
         SweepSpec(base_config=cfg(), k_values=(0.5, 1e308))
 
 
+def test_sweep_builds_its_cells_once(monkeypatch):
+    # two replace calls per cell (its traffic, then the config), all made when the spec is built
+    calls = []
+
+    def counted(obj, **changes):
+        calls.append(obj)
+        return replace(obj, **changes)
+
+    monkeypatch.setattr(harness, "replace", counted)
+    spec = SweepSpec(base_config=cfg(), k_values=(0.5, 1.0), seeds=(1,), controllers=("static",))
+    assert len(calls) == 4
+    assert len(run_sweep(spec, workers=1).splitlines()) == 1 + 2
+    assert len(calls) == 4
+
+
 @pytest.mark.parametrize("workers", [0, -5])
 def test_sweep_rejects_a_bad_worker_count(workers, monkeypatch):
     def no_run(*args, **kwargs):
@@ -248,7 +263,7 @@ def test_cli_sweep_takes_no_trace_flags(tmp_path, capsys):
     (["run", "--seed", "1", "--out", "missing/x.csv"],
      "argument --out: not a file in an existing directory: 'missing/x.csv'"),
     (["run", "--config", "static.json", "--la-trace", "x.csv"],
-     "--la-trace requires the la controller"),
+     "argument --la-trace: la_trace_path requires the la controller"),
     (["run", "--seed", "1", "--la-trace", "missing/x.csv"], "argument --la-trace: not a file"),
     (["run", "--seed", "1", "--event-trace", "missing/x.tsv"],
      "argument --event-trace: not a file"),
@@ -269,6 +284,8 @@ def test_cli_sweep_takes_no_trace_flags(tmp_path, capsys):
     (["run", "--config", "bad_h.json"], "argument --config: h must be a finite number"),
     (["sweep", "--config", "not_json.json"], "argument --config: Expecting value"),
     (["run"], "need --config or --seed"),
+    # an error in a loaded file names --config, whichever field it names
+    (["sweep", "--config", "neg_k.json"], "argument --config: k must be non-negative"),
 ])
 def test_cli_input_errors_are_usage_errors(argv, message, tmp_path, monkeypatch, capsys):
     # exit status 2 and one error line naming the flag, before any simulation runs
@@ -282,6 +299,8 @@ def test_cli_input_errors_are_usage_errors(argv, message, tmp_path, monkeypatch,
     (tmp_path / "bad_h.json").write_text(
         '{"master_seed": 1, "initial_params": {"h": null, "m": 64}}', encoding="utf-8")
     (tmp_path / "not_json.json").write_text("master_seed = 1", encoding="utf-8")
+    (tmp_path / "neg_k.json").write_text(
+        '{"master_seed": 1, "traffic": {"k": -1}}', encoding="utf-8")
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
     assert exit_info.value.code == 2
@@ -299,14 +318,15 @@ def test_cli_sweep_rejects_a_bad_k_grid(flags, capsys):
     assert "argument --k:" in capsys.readouterr().err.splitlines()[-1]
 
 
-def test_cli_sweep_run_time_errors_are_not_usage_errors(monkeypatch):
-    # only an error that names a sweep field is a usage error
-    def fail(spec, **kwargs):
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_cli_sweep_run_time_errors_are_not_usage_errors(command, monkeypatch):
+    # only an error that names a field or parameter with a flag is a usage error
+    def fail(*args, **kwargs):
         raise ValueError("empty window")
 
-    monkeypatch.setattr(harness, "run_sweep", fail)
+    monkeypatch.setattr(harness, "run_simulation" if command == "run" else "run_sweep", fail)
     with pytest.raises(ValueError, match="^empty window$"):
-        main(["sweep", "--seed", "1"])
+        main([command, "--seed", "1"])
 
 
 def test_cli_sweep_defaults_are_the_sweep_spec_defaults(monkeypatch):
