@@ -76,23 +76,22 @@ class LaController:
         self.h_automaton = Automaton(H_ACTIONS, REWARD_STEP, PENALTY_STEP)
         self.m_automaton = Automaton(M_ACTIONS, REWARD_STEP, PENALTY_STEP)
         self.prev_score = _NO_SCORE
-        self.current: DefenseParams | None = None
         # (p_h, p_m) after each round; round r is at index r
         self.trace: list[tuple[np.ndarray, np.ndarray]] = []
 
-    def _sample(self, rng: np.random.Generator) -> DefenseParams:
-        hi = self.h_automaton.select(rng)
-        mi = self.m_automaton.select(rng)
-        return DefenseParams(self.h_automaton.actions[hi],
-                             self.m_automaton.actions[mi])
+    def _end_round(self) -> DefenseParams:
+        """Trace the round's vectors; returns its pair, the automata's last selections."""
+        h, m = self.h_automaton, self.m_automaton
+        self.trace.append((h.p.copy(), m.p.copy()))
+        return DefenseParams(h.actions[h.last_selected], m.actions[m.last_selected])
 
-    def _record(self) -> None:
-        self.trace.append((self.h_automaton.p.copy(), self.m_automaton.p.copy()))
+    def _sample(self, rng: np.random.Generator) -> None:
+        self.h_automaton.select(rng)  # h first, then m: the order rng is read in
+        self.m_automaton.select(rng)
 
     def initial_params(self, rng: np.random.Generator) -> DefenseParams:
-        self.current = self._sample(rng)
-        self._record()
-        return self.current
+        self._sample(rng)
+        return self._end_round()
 
     def on_window_end(self, metrics: WindowMetrics,
                       rng: np.random.Generator) -> DefenseParams:
@@ -108,9 +107,8 @@ class LaController:
         else:
             self.h_automaton.penalty(hi)
             self.m_automaton.penalty(mi)
-            self.current = self._sample(rng)
-        self._record()
-        return self.current
+            self._sample(rng)
+        return self._end_round()
 
 
 def make_controller(config) -> StaticController | LaController:

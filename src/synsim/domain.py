@@ -49,7 +49,10 @@ class TrafficModel:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One run's settings; building one that validate_config rejects raises ValueError."""
+    """One run's settings; building one that validate_config rejects raises ValueError.
+
+    Numbers are stored as float (lambda1, k, mu, h) or int (the rest), whatever their type.
+    """
 
     master_seed: int
     traffic: TrafficModel = field(default_factory=TrafficModel)
@@ -64,6 +67,13 @@ class SimConfig:
         violations = validate_config(self)
         if violations:
             raise ValueError("invalid config: " + "; ".join(violations))
+        t, p = self.traffic, self.initial_params
+        for name, value in (("traffic", TrafficModel(float(t.lambda1), float(t.k), float(t.mu))),
+                            ("initial_params", DefenseParams(float(p.h), int(p.m))),
+                            ("master_seed", int(self.master_seed)),
+                            ("total_requests", int(self.total_requests)),
+                            ("window_size", int(self.window_size))):
+            object.__setattr__(self, name, value)
 
 
 def _is_int(value) -> bool:
@@ -126,10 +136,9 @@ def validate_config(config: SimConfig) -> list[str]:
     if _integer("window_size", config.window_size, v):
         if config.window_size < 1:
             v.append("window_size must be at least 1")
-        elif total_ok and config.total_requests < config.window_size:
-            v.append("window exceeds total requests")
-        elif total_ok and config.total_requests % config.window_size:
-            v.append("total_requests must be a multiple of window_size")
+        elif total_ok and (config.total_requests < config.window_size
+                           or config.total_requests % config.window_size):
+            v.append("total_requests must be a positive multiple of window_size")
     if config.controller_kind not in ("static", "la"):
         v.append("controller_kind must be 'static' or 'la'")
     if config.hold_mode not in ("deterministic", "exponential"):
@@ -161,17 +170,12 @@ def config_from_dict(data: dict) -> SimConfig:
 
     Every key is optional except master_seed; keys mirror the field names.
     Unknown or missing keys, nested ones included, raise ValueError, and
-    so does a value validate_config rejects.  A finite number h becomes a
-    float.
+    so does a value validate_config rejects.
     """
     kwargs = _keys(SimConfig, data, "config")
-    if "traffic" in kwargs:
-        traffic = _keys(TrafficModel, kwargs["traffic"], "traffic")
-        kwargs["traffic"] = TrafficModel(**traffic)
-    if "initial_params" in kwargs:
-        ip = _keys(DefenseParams, kwargs["initial_params"], "initial_params")
-        h = ip["h"]
-        kwargs["initial_params"] = DefenseParams(float(h) if _is_finite(h) else h, ip["m"])
+    for name, cls in (("traffic", TrafficModel), ("initial_params", DefenseParams)):
+        if name in kwargs:
+            kwargs[name] = cls(**_keys(cls, kwargs[name], name))
     return SimConfig(**kwargs)
 
 

@@ -18,14 +18,15 @@ lifetimes, so a static and an adaptive cell differ only by (h, m).
 
 Admission: the slot heap.  Whether an arrival at t is admitted depends
 only on how many residents are still there at t, so the state keeps a
-min-heap of exactly m slot free-times (0.0 for a slot never used).  An
-arrival at t is admitted iff heap[0] <= t, and its departure time then
-replaces heap[0].  This is the rule "take out every departure due by t,
-then admit iff occupancy < m", tie included: the heap holds the departure
-of every resident still there at t plus values <= t, so its minimum is
-above t exactly when m residents are still there.  After an m shrink below
-the occupancy, the heap holds the m latest departures, so admission waits
-for occupancy - m + 1 departures.  h is constant within a window, so each
+min-heap of s = min(m, N) slot free-times, N the run's arrivals (0.0 for a
+slot never used).  An arrival at t is admitted iff heap[0] <= t, and its
+departure time then replaces heap[0].  This is the rule "take out every
+departure due by t, then admit iff occupancy < m", tie included: the heap
+holds the departure of every resident still there at t plus values <= t,
+so its minimum is above t exactly when s residents are still there, and
+fewer than N ever are at an arrival.  After an m shrink below the
+occupancy, the heap holds the s latest departures, so admission waits for
+occupancy - s + 1 departures.  h is constant within a window, so each
 arrival's departure time, were it admitted, is computed for the whole window
 in numpy (offered) before admission runs.  The run loop then makes one call
 per arrival, admit_or_block: one compare and, on admission, one heapreplace;
@@ -181,13 +182,14 @@ class BacklogState:
     """Mutable backlog: slot heap, resident records, (h, m), per-class counts."""
 
     def __init__(self, params: DefenseParams, hold_mode: str, mu: float,
-                 lifetime_rng: np.random.Generator):
+                 lifetime_rng: np.random.Generator, total_requests: int):
         self.params = params
+        self.total_requests = total_requests  # the run's arrivals bound the slots needed
         self.exponential_hold = hold_mode == "exponential"
         self.mu = mu
         self.lifetime_rng = lifetime_rng
         self.clock = 0.0
-        self.heap = [0.0] * params.m  # slot free-times; 0.0 is a slot never used
+        self.heap = [0.0] * min(params.m, total_requests)  # slot free-times; 0.0 is never used
         self.records = np.empty((6, 0))  # a column per resident, in admission order
         # [regular, attack] pairs
         self.arrivals = [0, 0]
@@ -295,9 +297,8 @@ class BacklogState:
         """Install new (h, m).  h is retroactive; m-shrink never evicts.
 
         An h change reschedules every resident and evicts the ones now due
-        by now, as expiries.  Any change rebuilds the slot heap in place (the
-        run loop holds it): the m latest resident departures, after 0.0
-        free slots when fewer than m are resident.
+        by now, as expiries.  Any change rebuilds the slot heap: the min(m, N)
+        latest resident departures, after 0.0 free slots when fewer are resident.
         """
         old = self.params
         if new == old:
@@ -313,8 +314,9 @@ class BacklogState:
             self.depart(evicted)
             counts = _per_class(evicted[CLS])
             self.records = records[:, ~gone]
-        latest = np.sort(self.records[DEP])[-new.m:].tolist()
-        self.heap[:] = [0.0] * (new.m - len(latest)) + latest  # sorted, so a heap
+        slots = min(new.m, self.total_requests)
+        latest = np.sort(self.records[DEP])[-slots:].tolist()
+        self.heap = [0.0] * (slots - len(latest)) + latest  # sorted, so a heap
         return EvictionSummary(*counts)
 
 
@@ -345,7 +347,8 @@ def trace_events(departed: np.ndarray, occupancy: int, offered: np.ndarray = _NO
 
 
 def _trace_lines(suffix: str, *settle) -> str:
-    """The lines of trace_events(*settle), each ending in suffix."""
+    """The lines of trace_events(*settle), each ending in suffix.  A time is a
+    float, whose repr is its str; !r converts it fastest, once per event."""
     events = (x.tolist() for x in trace_events(*settle))
     return "".join([f"{t!r}\t{EVENT_LABELS[code]}\t{n}{suffix}" for t, code, n in zip(*events)])
 
@@ -381,9 +384,9 @@ def run_simulation(config: SimConfig, controller=None, seed: int | None = None,
     att_stream = _ExpStream(rng_att, traffic.lambda2)
 
     params = controller.initial_params(rng_la)
-    state = BacklogState(params, config.hold_mode, traffic.mu, rng_life)
+    state = BacklogState(params, config.hold_mode, traffic.mu, rng_life, config.total_requests)
 
-    suffix = f"\t{params.m}\t{params.h!r}\n"  # the m and h columns
+    suffix = f"\t{params.m}\t{params.h}\n"  # the m and h columns
 
     wsize = config.window_size
     n_windows = config.total_requests // wsize
@@ -414,8 +417,8 @@ def run_simulation(config: SimConfig, controller=None, seed: int | None = None,
         if window < n_windows:  # no window is left to act on the last answer
             state.apply_defense_params(new_params, t_last)
             if new_params != params and event_trace:
-                suffix = f"\t{new_params.m}\t{new_params.h!r}\n"
-                event_trace.write(f"{t_last!r}\tparams\t-\t{sum(state.occupancy)}{suffix}")
+                suffix = f"\t{new_params.m}\t{new_params.h}\n"
+                event_trace.write(f"{t_last}\tparams\t-\t{sum(state.occupancy)}{suffix}")
             params = new_params
             trajectory.append(params)
 

@@ -31,15 +31,10 @@ SWEEP_COLUMNS = ("k", "seed", "controller", "Ploss", "Pr", "Pa", "J",
 DEFAULT_K_VALUES = tuple(0.25 * i for i in range(9))  # 0 .. 2
 
 
-def _fmt(value) -> str:
-    # full round-trippable precision for floats, plain text otherwise
-    return repr(value) if isinstance(value, float) else str(value)
-
-
 def _csv(columns, rows) -> str:
-    """CSV text: the header, then one line per row."""
+    """CSV text: the header, then one line per row; a float's str round-trips."""
     lines = [",".join(columns)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(",".join(map(str, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -85,8 +80,8 @@ def run_single(config: SimConfig, out_path: str | None = None,
             f.write(la_trace_csv(controller))
     if not quiet:
         c = report.cumulative
-        print(f"cumulative Ploss={c.Ploss!r} Pr={c.Pr!r} Pa={c.Pa!r} J={c.J!r} "
-              f"legit_expired_fraction={report.legit_expired_fraction!r}")
+        print(f"cumulative Ploss={c.Ploss} Pr={c.Pr} Pa={c.Pa} J={c.J} "
+              f"legit_expired_fraction={report.legit_expired_fraction}")
     return report, csv_text
 
 
@@ -214,8 +209,8 @@ def _trace_checks():
                 traced_run() == first, "2 runs compared", "identical")
 
 
-def run_validate() -> tuple[list[Check], bool]:
-    """Run the oracle-agreement suite; returns (checks, all_passed).
+def run_validate() -> list[Check]:
+    """Run the oracle-agreement suite and return its checks.
 
     Each sim case runs at its own length, which its tolerance is set for.
     The acceptance gate runs this same suite once.
@@ -227,7 +222,7 @@ def run_validate() -> tuple[list[Check], bool]:
             now = time.perf_counter()
             check.seconds, start = now - start, now
             checks.append(check)
-    return checks, all(c.passed for c in checks)
+    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -308,12 +303,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "validate":
-        checks, ok = run_validate()
+        checks = run_validate()
         for c in checks:
             status = "PASS" if c.passed else "FAIL"
             print(f"{status}  {c.name}: observed {c.observed}, "
                   f"expected {c.expected} [{c.seconds:.3f} s]")
-        return 0 if ok else 1
+        return 0 if all(c.passed for c in checks) else 1
 
     command = p_run if args.command == "run" else p_sweep
     try:

@@ -31,7 +31,8 @@ def test_zero_hold_time_rejected():
 
 
 def test_window_larger_than_run_rejected():
-    with pytest.raises(ValueError, match="window exceeds total requests"):
+    with pytest.raises(ValueError,
+                       match="total_requests must be a positive multiple of window_size"):
         _cfg(total_requests=500, window_size=1000)
 
 
@@ -127,7 +128,7 @@ def _loaded(**doc):
     (partial(replace, BASE, initial_params=DefenseParams(-1.0, 128)), "h"),
     (partial(replace, BASE, initial_params=DefenseParams(75.0, 0)), "m"),
     (partial(replace, BASE, window_size=0), "window_size"),
-    (partial(replace, BASE, total_requests=500, window_size=1000), "window"),
+    (partial(replace, BASE, total_requests=500, window_size=1000), "total_requests"),
     (partial(replace, BASE, master_seed=1.5), "master_seed"),
     (partial(replace, BASE, window_size=500.5), "window_size"),
     (partial(replace, BASE, total_requests=True), "total_requests"),
@@ -149,6 +150,9 @@ def _loaded(**doc):
     # an attack rate k * lambda1 past the largest float: every attack time would be 0.0
     (partial(replace, BASE, traffic=TrafficModel(lambda1=10.0, k=1e308), total_requests=1000),
      "k"),
+    # a run of no arrivals, or of fewer than none, is no run
+    (partial(replace, BASE, total_requests=0), "total_requests"),
+    (partial(replace, BASE, total_requests=-500), "total_requests"),
 ])
 def test_bad_config_rejected_naming_the_field(config, field):
     with pytest.raises(ValueError, match=f"^invalid config: {field} ") as error:

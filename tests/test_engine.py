@@ -1,6 +1,7 @@
 import hashlib
 import io
 import math
+import tracemalloc
 from heapq import heapify, heappop, heappush
 
 import numpy as np
@@ -16,9 +17,9 @@ REG = RequestClass.REGULAR
 ATT = RequestClass.ATTACK
 
 
-def make_state(h=75.0, m=128, hold_mode="deterministic", mu=100.0, seed=0):
+def make_state(h=75.0, m=128, hold_mode="deterministic", mu=100.0, seed=0, total_requests=10_000):
     return BacklogState(DefenseParams(h, m), hold_mode, mu,
-                        np.random.default_rng(seed))
+                        np.random.default_rng(seed), total_requests)
 
 
 def offer(state, times, classes):
@@ -374,7 +375,7 @@ def test_no_attack_stream_means_zero_pa():
 
 def test_window_count_and_cumulative_sums():
     # a partial last window would leave its arrivals out of every window
-    with pytest.raises(ValueError, match="total_requests must be a multiple"):
+    with pytest.raises(ValueError, match="total_requests must be a positive multiple"):
         run_simulation(cfg(total_requests=5300))
     report = run_simulation(cfg(total_requests=5000))
     assert len(report.windows) == 10
@@ -382,6 +383,18 @@ def test_window_count_and_cumulative_sums():
     assert c.arrivals_regular == sum(w.arrivals_regular for w in report.windows)
     assert c.blocked_attack == sum(w.blocked_attack for w in report.windows)
     assert c.arrivals_regular + c.arrivals_attack == 5000
+
+
+def test_slot_heap_is_bounded_by_the_run_arrivals():
+    # 5000 arrivals never fill more than 5000 of the 10**7 slots, so no more are kept
+    tracemalloc.start()
+    try:
+        report = run_simulation(cfg(initial_params=DefenseParams(75.0, 10**7)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert report.cumulative.blocked_regular == report.cumulative.blocked_attack == 0
 
 
 @pytest.mark.parametrize("kind", ["static", "la"])

@@ -8,14 +8,17 @@ import shlex
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from synsim import harness, oracle
+from synsim.controller import LaController
 from synsim.domain import (DefenseParams, SimConfig, TrafficModel, config_from_dict,
                            validate_config)
 from synsim.engine import run_simulation
 from synsim.harness import (DEFAULT_K_VALUES, LA_TRACE_COLUMNS, SWEEP_COLUMNS, WINDOW_COLUMNS,
-                            SweepSpec, main, run_single, run_sweep, run_validate)
+                            SweepSpec, la_trace_csv, main, run_single, run_sweep, run_validate,
+                            window_csv)
 from synsim.oracle import ORACLE_CASES
 
 README = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
@@ -37,6 +40,45 @@ def test_window_csv_has_one_row_per_window(tmp_path):
     assert list(rows[0]) == list(WINDOW_COLUMNS)
     assert rows[0]["controller"] == "static"
     assert float(rows[0]["h"]) == 75.0
+
+
+def _written(config: SimConfig, k) -> tuple[str, str, str, str]:
+    """What each writer prints for config: a static run's window CSV and event
+    trace, an LA run's LA trace, and the sweep CSV of a one-cell grid of k."""
+    static, trace, la = replace(config, controller_kind="static"), io.StringIO(), LaController()
+    window = window_csv(static, run_simulation(static, event_trace=trace))
+    run_simulation(replace(config, controller_kind="la"), controller=la)
+    spec = SweepSpec(base_config=config, k_values=(k,), seeds=(config.master_seed,))
+    return window, trace.getvalue(), la_trace_csv(la), run_sweep(spec, workers=1)
+
+
+@pytest.mark.parametrize("how", ["built", "replaced", "loaded"])
+@pytest.mark.parametrize("h, k, m, seed", [
+    (75, 1, 128, 3),
+    (75.0, 1.0, 128, 3),
+    (np.float64(75.0), np.float64(1.0), np.int64(128), np.int64(3)),
+])
+def test_equal_configs_write_equal_bytes(how, h, k, m, seed):
+    # a number is stored as one type whatever it was given as, so it prints one way
+    run = {"total_requests": 1000, "window_size": 500}
+    traffic, params = {"lambda1": 10.0, "k": k, "mu": 100.0}, {"h": h, "m": m}
+    if how == "loaded":
+        config = config_from_dict({"master_seed": seed, "traffic": traffic,
+                                   "initial_params": params, **run})
+    else:
+        given = dict(master_seed=seed, traffic=TrafficModel(**traffic),
+                     initial_params=DefenseParams(**params))
+        config = (SimConfig(**given, **run) if how == "built"
+                  else replace(SimConfig(master_seed=0, **run), **given))
+    t, p = config.traffic, config.initial_params
+    numbers = (t.lambda1, t.k, t.mu, p.h, p.m, config.master_seed, config.total_requests,
+               config.window_size)
+    assert [type(x) for x in numbers] == [float] * 4 + [int] * 4
+    written = _written(config, k)
+    reference = SimConfig(master_seed=3, traffic=TrafficModel(10.0, 1.0, 100.0),
+                          initial_params=DefenseParams(75.0, 128), **run)
+    assert written == _written(reference, 1.0)
+    assert not any("np." in text for text in written)
 
 
 def test_paper_defaults_give_100_windows(tmp_path):
@@ -197,7 +239,7 @@ def test_validate_sim_runs_every_oracle_case(monkeypatch):
     short = [replace(case, config=replace(case.config, total_requests=1000))
              for case in ORACLE_CASES]
     monkeypatch.setattr(oracle, "ORACLE_CASES", short)
-    checks, _ = run_validate()
+    checks = run_validate()
     assert [c.name for c in checks if c.name.startswith("sim ")] == \
            [f"sim {case.name}" for case in short]
 
@@ -344,7 +386,7 @@ def test_readme_command_lines_parse(tmp_path, monkeypatch):
     lines = [line for line in block.splitlines() if line.startswith("synsim ")]
     assert {line.split()[1] for line in lines} == {"run", "sweep", "validate"}
     entry = {"run": "run_single", "sweep": "run_sweep", "validate": "run_validate"}
-    results = {"run_single": None, "run_sweep": "", "run_validate": ([], True)}
+    results = {"run_single": None, "run_sweep": "", "run_validate": []}
     calls = []
     for name, result in results.items():
         monkeypatch.setattr(harness, name, lambda *args, name=name, result=result, **kwargs:
