@@ -104,6 +104,20 @@ def _integer(name: str, value, violations: list[str]) -> bool:
     return False
 
 
+def _instance(name: str, value, cls, violations: list[str]) -> bool:
+    """True if value is a cls, else record why not."""
+    if isinstance(value, cls):
+        return True
+    violations.append(f"{name} must be a {cls.__name__}")
+    return False
+
+
+def _choice(name: str, value, choices: tuple[str, ...], violations: list[str]) -> None:
+    """Record why not unless value is one of the strings in choices."""
+    if not (isinstance(value, str) and value in choices):  # no array's == reaches `in`
+        violations.append(f"{name} must be " + " or ".join(map(repr, choices)))
+
+
 def validate_config(config: SimConfig) -> list[str]:
     """Return every violated constraint (empty list means the config is ok).
 
@@ -114,24 +128,26 @@ def validate_config(config: SimConfig) -> list[str]:
     if _integer("master_seed", config.master_seed, v) and config.master_seed < 0:
         v.append("master_seed must be non-negative")
     t = config.traffic
-    if _number("lambda1", t.lambda1, v):
-        if t.lambda1 <= 0:
-            v.append("lambda1 must be strictly positive")
-        elif _is_int(config.total_requests) and config.total_requests >= 1e300 * t.lambda1:
-            # a horizon near the largest float sends arrival times past it
-            v.append("lambda1 must exceed total_requests / 1e300")
-    if _number("k", t.k, v):
-        if t.k < 0:
-            v.append("k must be non-negative")
-        elif _is_finite(t.lambda1) and not _is_finite(t.lambda2):
-            v.append("k must keep the attack rate k * lambda1 finite")
-    if _number("mu", t.mu, v) and t.mu <= 0:
-        v.append("mu must be strictly positive")
+    if _instance("traffic", t, TrafficModel, v):
+        if _number("lambda1", t.lambda1, v):
+            if t.lambda1 <= 0:
+                v.append("lambda1 must be strictly positive")
+            elif _is_int(config.total_requests) and config.total_requests >= 1e300 * t.lambda1:
+                # a horizon near the largest float sends arrival times past it
+                v.append("lambda1 must exceed total_requests / 1e300")
+        if _number("k", t.k, v):
+            if t.k < 0:
+                v.append("k must be non-negative")
+            elif _is_finite(t.lambda1) and not _is_finite(t.lambda2):
+                v.append("k must keep the attack rate k * lambda1 finite")
+        if _number("mu", t.mu, v) and t.mu <= 0:
+            v.append("mu must be strictly positive")
     p = config.initial_params
-    if _number("h", p.h, v) and p.h <= 0:
-        v.append("h must be strictly positive")
-    if _integer("m", p.m, v) and p.m < 1:
-        v.append("m must be at least 1")
+    if _instance("initial_params", p, DefenseParams, v):
+        if _number("h", p.h, v) and p.h <= 0:
+            v.append("h must be strictly positive")
+        if _integer("m", p.m, v) and p.m < 1:
+            v.append("m must be at least 1")
     total_ok = _integer("total_requests", config.total_requests, v)
     if _integer("window_size", config.window_size, v):
         if config.window_size < 1:
@@ -139,10 +155,8 @@ def validate_config(config: SimConfig) -> list[str]:
         elif total_ok and (config.total_requests < config.window_size
                            or config.total_requests % config.window_size):
             v.append("total_requests must be a positive multiple of window_size")
-    if config.controller_kind not in ("static", "la"):
-        v.append("controller_kind must be 'static' or 'la'")
-    if config.hold_mode not in ("deterministic", "exponential"):
-        v.append("hold_mode must be 'deterministic' or 'exponential'")
+    _choice("controller_kind", config.controller_kind, ("static", "la"), v)
+    _choice("hold_mode", config.hold_mode, ("deterministic", "exponential"), v)
     return v
 
 

@@ -12,9 +12,10 @@ One master seed derives four independent RNG streams (regular arrivals,
 attack arrivals, entry lifetimes, action selection), so swapping the
 controller never perturbs the traffic sample path.  Lifetimes are drawn by
 arrival, not by admission: every arrival of a window gets a service unit and
-a hold unit from one (2, n) draw, whatever its class or outcome.  Two runs of
-one seed with different controllers therefore give every arrival the same
-lifetimes, so a static and an adaptive cell differ only by (h, m).
+a hold unit from its window's (2, n) slice of one (windows, 2, n) draw per
+block of windows, whatever its class or outcome.  Two runs of one seed with
+different controllers therefore give every arrival the same lifetimes, so a
+static and an adaptive cell differ only by (h, m).
 
 Admission: the slot heap.  Whether an arrival at t is admitted depends
 only on how many residents are still there at t, so the state keeps a
@@ -28,10 +29,11 @@ fewer than N ever are at an arrival.  After an m shrink below the
 occupancy, the heap holds the s latest departures, so admission waits for
 occupancy - s + 1 departures.  h is constant within a window, so each
 arrival's departure time, were it admitted, is computed for the whole window
-in numpy (offered) before admission runs.  The run loop then makes one call
-per arrival, admit_or_block: one compare and, on admission, one heapreplace;
-nothing else runs per arrival.  Its answers are read once into the window's
-admission mask, which the settle and the event trace share.
+in numpy (_schedule, under the h in force) before admission runs.  The run
+loop then makes one call per arrival, admit_or_block: one compare and, on
+admission, one heapreplace; nothing else runs per arrival.  Its answers are
+read once into the window's admission mask, which the settle and the event
+trace share.
 
 Departures: the settle.  Once per window, advance_to keeps the admitted
 columns of the offered records as new residents and takes out the
@@ -41,8 +43,11 @@ of min(dep, until) - max(admit, clock), so no event order is needed: the
 settle takes one np.bincount of those spans / m over the records, in
 admission order, and keeps it as the window's integral.  (h, m) changes
 only between windows, so m is constant within a settle.  The drain after
-the last arrival is the same settle with until = inf.  Only the event trace
-orders events, in trace_events, which runs only when a trace is written.
+the last arrival is the same settle with until = inf.  Columns are kept or
+taken out with ndarray.compress, and depart counts with count_nonzero: only a
+regular entry ever completes, since an attack entry's service is inf.  Only
+the event trace orders events, in trace_events, which runs only when a trace
+is written.
 
 Bookkeeping keeps one representation per concept.  Every per-class count
 (arrivals, admissions, completions, expiries) is a [regular, attack] pair
@@ -54,9 +59,12 @@ depart, so a record the drain left behind fails it.
 
 Each arrival stream is sampled 8192 gaps at a time and keeps its unread
 absolute times, one np.cumsum per block (the same left-to-right sums as
-adding one gap at a time).  A window of n arrivals merges the two streams'
-next n times and takes the n earliest.  A run is a whole number of windows,
-so every arrival lands in one.
+adding one gap at a time).  The run samples a block of whole windows, about
+_SAMPLE_BLOCK arrivals (a larger window is its own block), at a time, so a
+block's merge, lifetime draw and records cost their fixed numpy overhead
+once: N arrivals merge the two streams' next N times and take the N
+earliest, the same arrivals as n at a time.  A run is a whole number of
+windows, so every arrival lands in one.
 """
 
 from __future__ import annotations
@@ -72,7 +80,7 @@ from .domain import DefenseParams, RequestClass, SimConfig
 from .metrics import WindowMetrics, cumulative_metrics, finalize_window
 
 _INF = math.inf
-REG = RequestClass.REGULAR
+REG, ATT = RequestClass.REGULAR, RequestClass.ATTACK
 CLASS_LABEL = tuple(cls.name.lower() for cls in RequestClass)  # event-trace text
 
 # the kind and class columns of an event-trace line, indexed by 2 * kind + class
@@ -84,6 +92,7 @@ ADMIT, CLS, SERVICE, HOLD_UNIT, DEP, COMPLETE = range(6)
 _NO_RECORDS = np.empty((6, 0))
 _NO_ARRIVALS = np.empty(0, bool)  # the admission mask of no arrivals
 _BLOCK = 8192  # the gaps an arrival stream draws at a time
+_SAMPLE_BLOCK = 4096  # the arrivals a run samples at a time, in whole windows
 
 
 class _ExpStream:
@@ -143,7 +152,8 @@ def _schedule(records: np.ndarray, h: float) -> None:
     """Set each record's departure time and cause under hold time h."""
     admit = records[ADMIT]
     completion = admit + records[SERVICE]
-    timeout = admit + records[HOLD_UNIT] * h
+    with np.errstate(over="ignore"):  # a timeout past the largest float is inf: never
+        timeout = admit + records[HOLD_UNIT] * h
     records[COMPLETE] = completion < timeout
     records[DEP] = np.minimum(completion, timeout)
 
@@ -214,26 +224,27 @@ class BacklogState:
 
     # -- admissions ------------------------------------------------------
 
-    def offered(self, times: np.ndarray, classes: np.ndarray) -> np.ndarray:
-        """Records of a window's arrivals, each scheduled as if admitted now.
+    def offered(self, times: np.ndarray, classes: np.ndarray, windows: int) -> np.ndarray:
+        """Records of the arrivals of `windows` equal windows, not yet scheduled.
 
-        Every arrival gets a service unit and a hold unit, drawn in one
-        (2, n) block whatever its class, hold mode or outcome; an attack
-        entry's service is inf, and in deterministic mode the hold unit is 1.
+        Every arrival gets a service unit and a hold unit whatever its class,
+        hold mode or outcome: one (windows, 2, n) draw, the same stream as a
+        (2, n) draw per window.  An attack entry's service is inf, and in
+        deterministic mode the hold unit is 1.
         """
-        units = self.lifetime_rng.standard_exponential((2, len(times)))
+        units = self.lifetime_rng.standard_exponential((windows, 2, len(times) // windows))
         records = np.empty((6, len(times)))
         records[ADMIT] = times
         records[CLS] = classes
-        records[SERVICE] = np.where(classes == 0, units[0] / self.mu, _INF)
-        records[HOLD_UNIT] = units[1] if self.exponential_hold else 1.0  # 1.0 * h == h
-        _schedule(records, self.params.h)
+        with np.errstate(over="ignore"):  # a service past the largest float is inf: never
+            records[SERVICE] = np.where(classes == 0, units[:, 0].ravel() / self.mu, _INF)
+        records[HOLD_UNIT] = units[:, 1].ravel() if self.exponential_hold else 1.0  # 1.0 * h == h
         return records
 
     def admit_or_block(self, dep: float, now: float) -> bool | None:
         """Admit iff a slot is free at now: True if admitted, None if blocked.
 
-        dep is the arrival's departure time from offered; the arrival is
+        dep is the arrival's departure time from _schedule; the arrival is
         counted and its entry recorded when its window settles.
         """
         heap = self.heap
@@ -251,17 +262,16 @@ class BacklogState:
         """
         records = self.records
         due = (records[DEP] <= until) & (records[ADMIT] < until)
-        self.records = records[:, ~due]
-        return records[:, due]
+        self.records = records.compress(~due, axis=1)
+        return records.compress(due, axis=1)
 
     def depart(self, records: np.ndarray) -> None:
         """Free the records' slots and count their completions and expiries."""
-        counts = np.bincount((2 * records[CLS] + records[COMPLETE]).astype(np.intp),
-                             minlength=4).tolist()
-        for cls in (0, 1):
-            expired, completed = counts[2 * cls:2 * cls + 2]
-            self.completed[cls] += completed
-            self.expired[cls] += expired
+        completed = int(np.count_nonzero(records[COMPLETE]))
+        departed = _per_class(records[CLS])
+        self.completed[REG] += completed
+        self.expired[REG] += departed[REG] - completed
+        self.expired[ATT] += departed[ATT]
 
     # -- time ------------------------------------------------------------
 
@@ -275,12 +285,12 @@ class BacklogState:
         occupancy / m integral over [clock, until] and takes out the
         departures due.  Returns the records taken out, in admission order.
         """
-        classes = offered[CLS]
-        arrivals, admits = _per_class(classes), _per_class(classes[admitted])
+        kept = offered.compress(admitted, axis=1)  # the new residents
+        arrivals, admits = _per_class(offered[CLS]), _per_class(kept[CLS])
         for cls in (0, 1):
             self.arrivals[cls] += arrivals[cls]
             self.admitted[cls] += admits[cls]
-        records = np.concatenate((self.records, offered[:, admitted]), axis=1)
+        records = np.concatenate((self.records, kept), axis=1)
         self.records = records
         # each resident's time in [clock, until]
         span = np.minimum(records[DEP], until) - np.maximum(records[ADMIT], self.clock)
@@ -309,11 +319,11 @@ class BacklogState:
             records = self.records
             _schedule(records, new.h)
             gone = records[DEP] <= now
-            evicted = records[:, gone]
+            evicted = records.compress(gone, axis=1)
             evicted[COMPLETE] = 0.0
             self.depart(evicted)
             counts = _per_class(evicted[CLS])
-            self.records = records[:, ~gone]
+            self.records = records.compress(~gone, axis=1)
         slots = min(new.m, self.total_requests)
         latest = np.sort(self.records[DEP])[-slots:].tolist()
         self.heap = [0.0] * (slots - len(latest)) + latest  # sorted, so a heap
@@ -395,14 +405,20 @@ def run_simulation(config: SimConfig, controller=None, seed: int | None = None,
     counts_start, t_start = state.window_counters(), 0.0
 
     admit_or_block, advance_to = state.admit_or_block, state.advance_to
+    per_block = max(1, _SAMPLE_BLOCK // wsize)  # the windows sampled at a time
 
-    for window in range(1, n_windows + 1):
-        times, classes = _take(reg_stream, att_stream, wsize)
-        offered = state.offered(times, classes)
+    for window in range(n_windows):
+        start = window % per_block * wsize
+        if not start:  # sample the next block of windows
+            n = min(per_block, n_windows - window) * wsize
+            block = state.offered(*_take(reg_stream, att_stream, n), n // wsize)
+            block_times = block[ADMIT].tolist()
+        offered = block[:, start:start + wsize]  # a view: _schedule fills its rows
+        times = block_times[start:start + wsize]
+        _schedule(offered, params.h)
         # the admission mask: True admitted, None (a block) False
-        admitted = np.fromiter(map(admit_or_block, offered[DEP].tolist(), times.tolist()),
-                               bool, wsize)
-        t_last = float(times[-1])
+        admitted = np.fromiter(map(admit_or_block, offered[DEP].tolist(), times), bool, wsize)
+        t_last = times[-1]
         departed = advance_to(t_last, offered, admitted)
         if event_trace:
             event_trace.write(_trace_lines(suffix, departed, sum(state.occupancy),
@@ -414,7 +430,7 @@ def run_simulation(config: SimConfig, controller=None, seed: int | None = None,
         windows.append(wm)
         counts_start, t_start = counts_end, t_last
         new_params = controller.on_window_end(wm, rng_la)
-        if window < n_windows:  # no window is left to act on the last answer
+        if window + 1 < n_windows:  # no window is left to act on the last answer
             state.apply_defense_params(new_params, t_last)
             if new_params != params and event_trace:
                 suffix = f"\t{new_params.m}\t{new_params.h}\n"

@@ -4,6 +4,7 @@ from dataclasses import replace
 from functools import partial
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -153,6 +154,12 @@ def _loaded(**doc):
     # a run of no arrivals, or of fewer than none, is no run
     (partial(replace, BASE, total_requests=0), "total_requests"),
     (partial(replace, BASE, total_requests=-500), "total_requests"),
+    # a value of the wrong type for a nested field, not only a bad number in it
+    (partial(SimConfig, master_seed=1, traffic=None), "traffic"),
+    (partial(SimConfig, master_seed=1, initial_params=(75.0, 128)), "initial_params"),
+    (partial(SimConfig, master_seed=1, traffic={"lambda1": 10}), "traffic"),
+    (partial(replace, BASE, controller_kind=np.array(["la", "la"])), "controller_kind"),
+    (partial(replace, BASE, hold_mode=np.array(["deterministic", "exponential"])), "hold_mode"),
 ])
 def test_bad_config_rejected_naming_the_field(config, field):
     with pytest.raises(ValueError, match=f"^invalid config: {field} ") as error:

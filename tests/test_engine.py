@@ -2,6 +2,7 @@ import hashlib
 import io
 import math
 import tracemalloc
+from dataclasses import replace
 from heapq import heapify, heappop, heappush
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from synsim.domain import DefenseParams, RequestClass, SimConfig, TrafficModel
 from synsim.engine import (ADMIT, CLASS_LABEL, DEP, EVENT_LABELS, HOLD_UNIT, SERVICE,
-                           BacklogState, ConservationError, _BLOCK, _ExpStream,
+                           BacklogState, ConservationError, _BLOCK, _ExpStream, _schedule,
                            run_simulation, trace_events)
 from synsim.harness import trace_ordering_ok, window_csv
 
@@ -24,8 +25,10 @@ def make_state(h=75.0, m=128, hold_mode="deterministic", mu=100.0, seed=0, total
 
 def offer(state, times, classes):
     """Offer one window of arrivals, as run_simulation does; returns the
-    offered records and the admission mask, not yet settled."""
-    offered = state.offered(times, classes)
+    offered records, scheduled under the h in force, and the admission mask,
+    not yet settled."""
+    offered = state.offered(times, classes, 1)
+    _schedule(offered, state.params.h)
     answers = map(state.admit_or_block, offered[DEP].tolist(), times.tolist())
     return offered, np.fromiter(answers, bool, len(times))
 
@@ -330,6 +333,17 @@ def test_states_of_one_seed_give_every_arrival_the_same_lifetimes():
     assert small.blocked[REG] > 0 and large.blocked == [0, 0]
 
 
+def test_a_block_of_windows_draws_the_lifetimes_of_a_draw_per_window():
+    rng = np.random.default_rng(5)
+    times = np.sort(rng.uniform(0, 10, 3 * 400))
+    classes = rng.integers(0, 2, 3 * 400).astype(np.int8)
+    block = make_state(hold_mode="exponential", mu=2.0, seed=4).offered(times, classes, 3)
+    draws = np.random.default_rng(4)
+    units = np.concatenate([draws.standard_exponential((2, 400)) for _ in range(3)], axis=1)
+    assert block[SERVICE].tobytes() == np.where(classes == 0, units[0] / 2.0, np.inf).tobytes()
+    assert block[HOLD_UNIT].tobytes() == units[1].tobytes()
+
+
 # -- arrival sampling --------------------------------------------------------
 
 def test_arrival_times_are_the_running_sum_of_draws():
@@ -442,6 +456,25 @@ def test_window_shares_are_exact_per_window():
         assert math.isclose(w.Pa, pa, rel_tol=1e-12)
 
 
+def test_a_timeout_past_the_float_range_never_fires():
+    # hold unit * h overflows to inf: the entry never times out, as in
+    # deterministic mode, where the timeout is h itself
+    config = cfg(hold_mode="exponential", initial_params=DefenseParams(1e308, 128),
+                 total_requests=1000, window_size=100)
+    report = run_simulation(config)  # audited: admitted == completed + expired
+    assert all(math.isfinite(x) for w in report.windows for x in (w.Ploss, w.Pr, w.Pa))
+    assert report.windows == run_simulation(replace(config, hold_mode="deterministic")).windows
+
+
+@pytest.mark.parametrize("hold_mode", ["deterministic", "exponential"])
+def test_a_service_past_the_float_range_never_completes(hold_mode):
+    # service unit / mu overflows to inf: the entry can only time out
+    report = run_simulation(cfg(hold_mode=hold_mode, traffic=TrafficModel(10.0, 1.0, 5e-324),
+                                total_requests=1000, window_size=100))
+    assert report.totals.completed[REG] == 0 and report.totals.expired[REG] > 0
+    assert all(math.isfinite(x) for w in report.windows for x in (w.Ploss, w.Pr, w.Pa))
+
+
 def test_attack_entries_never_complete():
     report = run_simulation(cfg(controller_kind="la", total_requests=10000))
     assert report.totals.completed[ATT] == 0
@@ -453,9 +486,9 @@ def test_controller_does_not_perturb_traffic(monkeypatch):
     offered = BacklogState.offered
     lifetimes = {}
 
-    def recorded(state, times, classes):
-        records = offered(state, times, classes)
-        lifetimes[kind].append(records[[SERVICE, HOLD_UNIT]].tobytes())
+    def recorded(state, times, classes, windows):
+        records = offered(state, times, classes, windows)
+        lifetimes[kind].append(records[[SERVICE, HOLD_UNIT]])
         return records
 
     monkeypatch.setattr(BacklogState, "offered", recorded)
@@ -468,7 +501,8 @@ def test_controller_does_not_perturb_traffic(monkeypatch):
     assert [w.window_duration for w in a.windows] == [w.window_duration for w in b.windows]
     assert [w.arrivals_regular for w in a.windows] == \
            [w.arrivals_regular for w in b.windows]
-    assert len(lifetimes["la"]) == 10 and lifetimes["static"] == lifetimes["la"]
+    a_units, b_units = (np.concatenate(lifetimes[kind], axis=1) for kind in ("static", "la"))
+    assert b_units.shape == (2, 5000) and a_units.tobytes() == b_units.tobytes()
     assert a.totals.blocked != b.totals.blocked  # the outcomes differ
 
 
@@ -546,12 +580,24 @@ SAMPLE_PATH_SHA256 = {
         "77d46aeafdcf4c8509227e77f68172789b7e78b4f8e00457351be276f2fbaccf",
     "la-exponential-2.0-window1":
         "5327b8e3afe47f9ab9be29b68b4caa081c7a43110b570425288624d0fd440178",
+    "static-exponential-2.0-window700":
+        "641a6e82a142c763fd1500da2653df1ccfc39efbc511ee735c726170f93f536b",
+    "la-exponential-2.0-window700":
+        "46ec97c95b650543e4c2673d393a5dc45bfdd87bf9c09e2346a082cebf5d2fc0",
+    "la-exponential-2.0-window5000":
+        "df79030616a0aecb5e2e87a84c413d047d9fde2d913f0330a296c6715056571f",
 }
 CASE_CHANGES = {
     # m shrinks to 256 with 406 residents: they stay, over the new cap
     "la-deterministic-2.0-overshoot": dict(master_seed=9),
     # every arrival is a window, so the controller acts after each one
     "la-exponential-2.0-window1": dict(window_size=1),
+    # 700 does not divide the 4096 arrivals sampled at a time: 9 windows make
+    # a block of 5, then a short one of 4; the LA changes h inside both
+    "static-exponential-2.0-window700": dict(total_requests=6300, window_size=700),
+    "la-exponential-2.0-window700": dict(total_requests=6300, window_size=700),
+    # a window larger than a block is its own block; h changes before the third window
+    "la-exponential-2.0-window5000": dict(total_requests=15000, window_size=5000),
 }
 
 
