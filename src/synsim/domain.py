@@ -132,13 +132,14 @@ def validate_config(config: SimConfig) -> list[str]:
         if _number("lambda1", t.lambda1, v):
             if t.lambda1 <= 0:
                 v.append("lambda1 must be strictly positive")
-            elif _is_int(config.total_requests) and config.total_requests >= 1e300 * t.lambda1:
+            elif (_is_int(config.total_requests)
+                  and config.total_requests >= 1e300 * float(t.lambda1)):
                 # a horizon near the largest float sends arrival times past it
                 v.append("lambda1 must exceed total_requests / 1e300")
         if _number("k", t.k, v):
             if t.k < 0:
                 v.append("k must be non-negative")
-            elif _is_finite(t.lambda1) and not _is_finite(t.lambda2):
+            elif _is_finite(t.lambda1) and not math.isfinite(float(t.k) * float(t.lambda1)):
                 v.append("k must keep the attack rate k * lambda1 finite")
         if _number("mu", t.mu, v) and t.mu <= 0:
             v.append("mu must be strictly positive")
@@ -150,10 +151,12 @@ def validate_config(config: SimConfig) -> list[str]:
             v.append("m must be at least 1")
     total_ok = _integer("total_requests", config.total_requests, v)
     if _integer("window_size", config.window_size, v):
-        if config.window_size < 1:
+        # as Python ints: numpy ints of two widths may not hold each other
+        window = int(config.window_size)
+        if window < 1:
             v.append("window_size must be at least 1")
-        elif total_ok and (config.total_requests < config.window_size
-                           or config.total_requests % config.window_size):
+        elif total_ok and (int(config.total_requests) < window
+                           or int(config.total_requests) % window):
             v.append("total_requests must be a positive multiple of window_size")
     _choice("controller_kind", config.controller_kind, ("static", "la"), v)
     _choice("hold_mode", config.hold_mode, ("deterministic", "exponential"), v)

@@ -47,7 +47,8 @@ the last arrival is the same settle with until = inf.  Columns are kept or
 taken out with ndarray.compress, and depart counts with count_nonzero: only a
 regular entry ever completes, since an attack entry's service is inf.  Only
 the event trace orders events, in trace_events, which runs only when a trace
-is written.
+is written.  A trace line joins the repr of its time, a tail of kind, class
+and occupancy from a bounded cache (_TAILS), and the m and h columns.
 
 Bookkeeping keeps one representation per concept.  Every per-class count
 (arrivals, admissions, completions, expiries) is a [regular, attack] pair
@@ -93,6 +94,7 @@ _NO_RECORDS = np.empty((6, 0))
 _NO_ARRIVALS = np.empty(0, bool)  # the admission mask of no arrivals
 _BLOCK = 8192  # the gaps an arrival stream draws at a time
 _SAMPLE_BLOCK = 4096  # the arrivals a run samples at a time, in whole windows
+_TAIL_CACHE_BOUND = 1 << 14  # event-trace tails cached: 8 codes x occupancies 0-2047
 
 
 class _ExpStream:
@@ -356,11 +358,38 @@ def trace_events(departed: np.ndarray, occupancy: int, offered: np.ndarray = _NO
     return t[order], (2 * kind + cls).astype(np.intp), after
 
 
+class _TailCache(dict):
+    """Event-trace line tails (the kind, class and occupancy columns, each
+    after a tab), keyed occupancy << 3 | code.
+
+    A miss builds its tail; a miss on a full cache clears it first, so it
+    never holds more than _TAIL_CACHE_BOUND tails, however high the occupancy
+    climbs.  A tail depends on its key alone, so every run can share one cache.
+    """
+
+    def __missing__(self, key: int) -> str:
+        if len(self) >= _TAIL_CACHE_BOUND:
+            self.clear()
+        tail = self[key] = f"\t{EVENT_LABELS[key & 7]}\t{key >> 3}"
+        return tail
+
+
+_TAILS = _TailCache()
+
+
 def _trace_lines(suffix: str, *settle) -> str:
-    """The lines of trace_events(*settle), each ending in suffix.  A time is a
-    float, whose repr is its str; !r converts it fastest, once per event."""
-    events = (x.tolist() for x in trace_events(*settle))
-    return "".join([f"{t!r}\t{EVENT_LABELS[code]}\t{n}{suffix}" for t, code, n in zip(*events)])
+    """The lines of trace_events(*settle), each ending in suffix.
+
+    A line is three pieces, joined in one str.join: the repr of its time (a
+    float's repr is its str), its tail from _TAILS and suffix.  An occupancy
+    is at most the largest m in force, so on the paper's grid (m <= 1024) a
+    run has a few thousand distinct tails and almost every lookup hits.
+    """
+    times, codes, after = trace_events(*settle)
+    pieces = [suffix] * (3 * len(times))  # time, tail, suffix of each line
+    pieces[::3] = map(repr, times.tolist())
+    pieces[1::3] = map(_TAILS.__getitem__, (after << 3 | codes).tolist())
+    return "".join(pieces)
 
 
 class ConservationError(AssertionError):

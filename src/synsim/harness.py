@@ -65,7 +65,7 @@ def run_single(config: SimConfig, out_path: str | None = None,
     controller = make_controller(config)
     if la_trace_path and not isinstance(controller, LaController):
         raise ValueError("la_trace_path requires the la controller")
-    trace_file = open(event_trace_path, "w") if event_trace_path else None
+    trace_file = open(event_trace_path, "w", encoding="utf-8") if event_trace_path else None
     try:
         report = run_simulation(config, controller=controller, event_trace=trace_file)
     finally:

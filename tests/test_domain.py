@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from dataclasses import replace
 from functools import partial
 from unittest import mock
@@ -219,3 +220,100 @@ def test_valid_configs_give_meaningful_runs(seed, lambda1, k, mu, h, m, window,
     for w in report.windows + [report.cumulative]:
         assert 0.0 <= w.Ploss <= 1.0
         assert all(math.isfinite(x) for x in (w.Pr, w.Pa, w.J))
+
+
+# -- the config boundary as a property -----------------------------------------
+
+FIELDS = {"master_seed", "traffic", "lambda1", "k", "mu", "initial_params", "h", "m",
+          "total_requests", "window_size", "controller_kind", "hold_mode"}
+FLOAT_EDGES = (0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 0.5, 1.0, 3.0, 1e300,
+               1.7976931348623157e308, INF, -INF, NAN, -1.0)
+INT_EDGES = (-1, 0, 1, 2, 7, 64, 1000, 2**63, 10**400)
+INT_TYPES = (np.int64, np.uint64, np.int8)
+NUMBER_TYPES = (np.float64, np.float32, *INT_TYPES)
+
+
+def _numbers(*values, dtypes=NUMBER_TYPES):
+    """values as Python numbers and as numpy scalars of each dtype that holds them."""
+    scalars = []
+    for value in values:
+        for dtype in dtypes:
+            if isinstance(value, float) and not issubclass(dtype, np.floating):
+                continue  # an int dtype would truncate it
+            try:
+                with np.errstate(over="ignore"):  # a float32 past its range is inf
+                    scalars.append(dtype(value))
+            except OverflowError:  # an int the dtype cannot hold
+                pass
+    return st.one_of(st.sampled_from(values), st.sampled_from(scalars))
+
+
+def _choices(*choices):
+    return st.sampled_from([*choices, *map(np.str_, choices)])
+
+
+# a value of a type no field takes
+WRONG_TYPE = st.one_of(st.booleans(), st.just(np.True_), st.none(), st.just("bogus"),
+                       st.tuples(st.integers(0, 3)),
+                       st.dictionaries(st.just("a"), st.integers(0, 3)))
+# each field's values from the edges of its range: a config of these alone is mostly accepted
+IN_RANGE = {
+    "master_seed": _numbers(0, 7, 2**63, 10**400, dtypes=INT_TYPES),
+    "lambda1": _numbers(0.5, 3.0, 1e300, 1.7976931348623157e308, 7, 2**63),
+    "k": _numbers(0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 0.5, 3.0, 1e300, 0, 7),
+    "mu": _numbers(5e-324, 2.2250738585072014e-308, 1e-300, 0.5, 3.0, 1e300,
+                   1.7976931348623157e308, 7),
+    "h": _numbers(5e-324, 2.2250738585072014e-308, 1e-300, 0.5, 3.0, 1e300,
+                  1.7976931348623157e308, 7),
+    "m": _numbers(1, 2, 7, 64, 1000, 2**63, 10**400, dtypes=INT_TYPES),
+    "total_requests": _numbers(1000, 1, dtypes=INT_TYPES),
+    "window_size": _numbers(1000, 8, 1, dtypes=INT_TYPES),
+    "controller_kind": _choices("static", "la"),
+    "hold_mode": _choices("deterministic", "exponential"),
+}
+# ... and from anywhere: any edge, numpy scalar or wrong type (at most 1000 arrivals,
+# since a larger count is accepted and runs that long)
+ANYWHERE = {name: st.one_of(values, WRONG_TYPE) for name, values in IN_RANGE.items()}
+for name in ("master_seed", "lambda1", "k", "mu", "h", "m", "window_size"):
+    ANYWHERE[name] = st.one_of(ANYWHERE[name], _numbers(*FLOAT_EDGES, *INT_EDGES))
+ANYWHERE["total_requests"] = st.one_of(ANYWHERE["total_requests"],
+                                       _numbers(-1, 0, 7, 1000.0, NAN))
+
+
+def _config_fields(wild):
+    """The fields named in wild drawn from anywhere, the rest in range; a
+    wild traffic or initial_params is a wrong type, else it is built of its
+    drawn fields."""
+    drawn = {name: (ANYWHERE if name in wild else IN_RANGE)[name] for name in IN_RANGE}
+    drawn.update({name: WRONG_TYPE for name in ("traffic", "initial_params") if name in wild})
+    return st.fixed_dictionaries(drawn)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sets(st.sampled_from(sorted(FIELDS)), max_size=2).flatmap(_config_fields))
+def test_a_config_is_rejected_naming_a_field_or_gives_a_meaningful_run(f):
+    try:
+        config = SimConfig(
+            master_seed=f["master_seed"],
+            traffic=f.get("traffic", TrafficModel(f["lambda1"], f["k"], f["mu"])),
+            initial_params=f.get("initial_params", DefenseParams(f["h"], f["m"])),
+            total_requests=f["total_requests"], window_size=f["window_size"],
+            controller_kind=f["controller_kind"], hold_mode=f["hold_mode"])
+    except ValueError as error:
+        message = str(error)
+        assert message.startswith("invalid config: ")
+        violations = message.removeprefix("invalid config: ").split("; ")
+        assert all(v.split(" ", 1)[0] in FIELDS for v in violations), message
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_simulation(config)
+    t = report.totals
+    for cls in t.arrivals:
+        assert t.admitted[cls] == t.completed[cls] + t.expired[cls]
+        assert t.admitted[cls] + t.blocked[cls] == t.arrivals[cls]
+    assert sum(t.arrivals.values()) == config.total_requests
+    for w in report.windows + [report.cumulative]:
+        assert 0.0 <= w.Ploss <= 1.0
+        assert 0.0 <= w.Pr <= 1.0 and 0.0 <= w.Pa <= 1.0
+        assert 0.0 < w.window_duration < INF

@@ -8,6 +8,7 @@ from heapq import heapify, heappop, heappush
 import numpy as np
 import pytest
 
+from synsim import engine
 from synsim.domain import DefenseParams, RequestClass, SimConfig, TrafficModel
 from synsim.engine import (ADMIT, CLASS_LABEL, DEP, EVENT_LABELS, HOLD_UNIT, SERVICE,
                            BacklogState, ConservationError, _BLOCK, _ExpStream, _schedule,
@@ -187,6 +188,8 @@ def test_drain_settles_every_resident():
     assert state.occupancy == [0, 0] and state.records.shape == (6, 0)
     assert state.completed[REG] + state.expired[REG] == 1
     assert state.expired[ATT] == 2
+    # a drain of no residents writes no trace lines
+    assert engine._trace_lines("\t8\t10.0\n", state.advance_to(np.inf), 0) == ""
 
 
 def reference_loop(windows, params, hold_mode, mu, seed):
@@ -601,13 +604,17 @@ CASE_CHANGES = {
 }
 
 
+def case_config(case):
+    kind, hold_mode, k = case.split("-")[:3]
+    return cfg(**{"master_seed": 2024, "total_requests": 4000, "controller_kind": kind,
+                  "hold_mode": hold_mode,
+                  "traffic": TrafficModel(lambda1=10.0, k=float(k), mu=100.0),
+                  **CASE_CHANGES.get(case, {})})
+
+
 @pytest.mark.parametrize("case", sorted(SAMPLE_PATH_SHA256))
 def test_sample_path_is_pinned(case):
-    kind, hold_mode, k = case.split("-")[:3]
-    config = cfg(**{"master_seed": 2024, "total_requests": 4000, "controller_kind": kind,
-                    "hold_mode": hold_mode,
-                    "traffic": TrafficModel(lambda1=10.0, k=float(k), mu=100.0),
-                    **CASE_CHANGES.get(case, {})})
+    config = case_config(case)
     buf = io.StringIO()
     report = run_simulation(config, event_trace=buf)
     text = window_csv(config, report) + buf.getvalue()
@@ -630,6 +637,40 @@ def test_no_params_change_after_the_last_window():
     assert drain and all(row[1] in ("complete", "expire") for row in drain)
     last = report.param_trajectory[-1]
     assert {(int(row[4]), float(row[5])) for row in drain} == {(last.m, last.h)}
+
+
+def f_string_trace_lines(suffix, *settle):
+    """The per-line f-string formatter the tail cache replaced: the reference."""
+    events = (x.tolist() for x in trace_events(*settle))
+    return "".join([f"{t!r}\t{EVENT_LABELS[code]}\t{n}{suffix}" for t, code, n in zip(*events)])
+
+
+# no block and almost no departure (mu = 1e-6): the occupancy climbs to about
+# 30 000, so past the tail cache's bound every tail is a miss and the cache is cleared
+CLIMBING = cfg(total_requests=30_000, window_size=1000, initial_params=DefenseParams(1e9, 10**9),
+               traffic=TrafficModel(lambda1=10.0, k=1.0, mu=1e-6))
+
+
+@pytest.mark.parametrize("config", [
+    CLIMBING,
+    case_config("la-deterministic-2.0-overshoot"),  # an m shrink below occupancy, params lines
+    # every entry leaves at its own admission instant, so the drain writes one departure
+    cfg(total_requests=2000, initial_params=DefenseParams(1e-300, 8)),
+], ids=["climbing", "overshoot", "zero-lifetime"])
+def test_event_trace_matches_the_per_line_f_string(config, monkeypatch):
+    buf, reference = io.StringIO(), io.StringIO()
+    run_simulation(config, event_trace=buf)
+    monkeypatch.setattr(engine, "_trace_lines", f_string_trace_lines)
+    run_simulation(config, event_trace=reference)
+    assert buf.getvalue() == reference.getvalue()
+
+
+def test_the_tail_cache_stays_within_its_bound():
+    buf = io.StringIO()
+    run_simulation(CLIMBING, event_trace=buf)
+    tails = {line.split("\t", 1)[1].rsplit("\t", 2)[0] for line in buf.getvalue().splitlines()}
+    assert len(tails) > engine._TAIL_CACHE_BOUND  # the run outgrows the cache
+    assert 0 < len(engine._TAILS) <= engine._TAIL_CACHE_BOUND
 
 
 def test_ordering_scan_catches_inverted_tie_break():
