@@ -31,8 +31,10 @@ class DefenseParams:
 
 @dataclass(frozen=True)
 class TrafficModel:
-    """Two merged Poisson streams: regular at lambda1, attack at k*lambda1.
+    """Two independent Poisson streams: regular at lambda1, attack at k*lambda1.
 
+    Together they are one Poisson stream at lambda1 * (1 + k), each arrival an
+    attack with probability k / (1 + k), which is how the engine samples them.
     mu is the completion rate of the regular three-way handshake; attack
     requests never complete.
     """

@@ -1,6 +1,6 @@
 """Deterministic simulator of the half-open connection backlog.
 
-Two merged Poisson arrival streams feed a capacity-m buffer.  A regular
+Poisson arrivals, regular and attack, feed a capacity-m buffer.  A regular
 entry leaves by handshake completion (Exp(mu)) or by hitting the hold
 time h, whichever comes first; an attack entry only ever times out.  The
 controller is consulted at every window boundary and may change (h, m)
@@ -8,9 +8,23 @@ mid-run: h is retroactive (residents past the new timeout are evicted on
 the spot), an m shrink evicts nothing and simply blocks admissions until
 the buffer drains below the new cap.
 
-One master seed derives four independent RNG streams (regular arrivals,
-attack arrivals, entry lifetimes, action selection), so swapping the
-controller never perturbs the traffic sample path.  Lifetimes are drawn by
+Traffic: one marked stream.  The regular (rate lambda1) and attack
+(k * lambda1) streams are independent Poisson streams, so together they are
+one Poisson stream of rate lambda1 * (1 + k) whose arrivals are attacks
+independently with probability k / (1 + k) (Kingman, Poisson Processes,
+1993).  The run samples that stream with mean gap 1 / lambda1 / (1 + k) (the
+rate itself may overflow) and marks an arrival an attack iff a uniform draw
+is below k / (1 + k).  It samples a block of whole windows, about
+_SAMPLE_BLOCK arrivals (a larger window is its own block), at a time, so a
+block's draws and records cost their fixed numpy overhead once.  Its times
+are one np.cumsum of its gaps from the last time, the left-to-right sums
+`t = t + gap` builds, and numpy draws the same values however the draws are
+chunked, so the block size moves no arrival.  A run is a whole number of
+windows, so every arrival lands in one.
+
+One master seed derives four independent RNG streams (arrival times, class
+marks, entry lifetimes, action selection), so swapping the controller never
+perturbs the traffic sample path.  Lifetimes are drawn by
 arrival, not by admission: every arrival of a window gets a service unit and
 a hold unit from its window's (2, n) slice of one (windows, 2, n) draw per
 block of windows, whatever its class or outcome.  Two runs of one seed with
@@ -57,15 +71,6 @@ each resident is one column of a records array, so the occupancy is a count
 of the records.  The run audit compares two tallies kept apart after the
 final drain: admissions from admit_or_block's answers and departures from
 depart, so a record the drain left behind fails it.
-
-Each arrival stream is sampled 8192 gaps at a time and keeps its unread
-absolute times, one np.cumsum per block (the same left-to-right sums as
-adding one gap at a time).  The run samples a block of whole windows, about
-_SAMPLE_BLOCK arrivals (a larger window is its own block), at a time, so a
-block's merge, lifetime draw and records cost their fixed numpy overhead
-once: N arrivals merge the two streams' next N times and take the N
-earliest, the same arrivals as n at a time.  A run is a whole number of
-windows, so every arrival lands in one.
 """
 
 from __future__ import annotations
@@ -92,62 +97,42 @@ EVENT_LABELS = tuple(f"{kind}\t{label}" for kind in ("admit", "block", "complete
 ADMIT, CLS, SERVICE, HOLD_UNIT, DEP, COMPLETE = range(6)
 _NO_RECORDS = np.empty((6, 0))
 _NO_ARRIVALS = np.empty(0, bool)  # the admission mask of no arrivals
-_BLOCK = 8192  # the gaps an arrival stream draws at a time
 _SAMPLE_BLOCK = 4096  # the arrivals a run samples at a time, in whole windows
 _TAIL_CACHE_BOUND = 1 << 14  # event-trace tails cached: 8 codes x occupancies 0-2047
 
 
 class _ExpStream:
-    """Blockwise exponential sampler; rate 0 never fires.
+    """Exponential gaps of one mean, taken as their running sums.
 
-    draw() returns the next block of gaps.  unread holds the absolute times
-    not taken yet: the running left-to-right sum of the gaps, one np.cumsum
-    per block, bit for bit the sum `t = t + gap` builds.  A sum past the
-    largest float is inf, so a rate too small to fire again within the float
-    range never fires again, as rate 0 never fires.
+    take(n) returns the next n times: the running left-to-right sum of n
+    gaps, one np.cumsum carrying on from the last time taken, bit for bit
+    the sum `t = t + gap` builds, however the draws are chunked.  A sum past
+    the largest float is inf.
     """
 
-    __slots__ = ("rng", "rate", "unread", "last")
+    __slots__ = ("rng", "mean", "last")
 
-    def __init__(self, rng: np.random.Generator, rate: float):
+    def __init__(self, rng: np.random.Generator, mean: float):
         self.rng = rng
-        self.rate = rate
-        self.unread = np.empty(0)
-        self.last = 0.0  # the latest time drawn
+        self.mean = mean
+        self.last = 0.0  # the latest time taken
 
-    def draw(self) -> np.ndarray:
-        if self.rate > 0:
-            return self.rng.exponential(1.0 / self.rate, _BLOCK)
-        return np.full(_BLOCK, _INF)
+    def draw(self, n: int) -> np.ndarray:
+        return self.rng.exponential(self.mean, n)
 
-    def head(self, n: int) -> np.ndarray:
-        """The next n times, without taking them."""
-        while len(self.unread) < n:
-            gaps = self.draw()
-            with np.errstate(over="ignore"):
-                gaps[0] += self.last  # the block's first sum starts from the last time
-                block = np.cumsum(gaps)
-            self.unread = np.concatenate((self.unread, block))
-            self.last = block[-1]
-        return self.unread[:n]
+    def take(self, n: int) -> np.ndarray:
+        gaps = self.draw(n)
+        with np.errstate(over="ignore"):
+            gaps[0] += self.last  # the first sum starts from the last time
+            times = np.cumsum(gaps)
+        self.last = times[-1]
+        return times
 
 
 def _per_class(classes: np.ndarray) -> list[int]:
     """How many of the classes (0 regular, 1 attack) are of each class."""
     n_attack = int(np.count_nonzero(classes))
     return [len(classes) - n_attack, n_attack]
-
-
-def _take(regular: _ExpStream, attack: _ExpStream, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Times and classes (0 regular, 1 attack) of the next n arrivals of the
-    two streams merged in time order; a regular arrival goes first on a tie."""
-    both = np.concatenate((regular.head(n), attack.head(n)))
-    order = np.argsort(both, kind="stable")[:n]  # stable: regular first on a tie
-    classes = (order >= n).view(np.int8)
-    n_regular, n_attack = _per_class(classes)
-    regular.unread = regular.unread[n_regular:]
-    attack.unread = attack.unread[n_attack:]
-    return both[order], classes
 
 
 def _schedule(records: np.ndarray, h: float) -> None:
@@ -339,18 +324,16 @@ def trace_events(departed: np.ndarray, occupancy: int, offered: np.ndarray = _NO
     each.  departed is what advance_to returned, occupancy the total after it,
     and offered and admitted are advance_to's arguments.
 
-    Each departure goes just before the first arrival not earlier than it, so
-    a departure comes first on a tie, and departures go in (time, admission
-    number) order.  A zero lifetime (departure == admission) is keyed just
-    past its admission, so it follows it; this assumes no two arrivals share
-    an instant, which has probability 0.
+    Events go in time order, and events of one instant by rank: departures
+    0, arrivals 1, zero-lifetime departures (departure == admission) 2, so a
+    departure comes first on a tie, except that a zero lifetime follows its
+    own admission.  Departures go in (time, admission number) order.  This
+    assumes no two arrivals share an instant, which has probability 0.
     """
     dep, times = departed[DEP], offered[ADMIT]
-    key = dep.copy()
-    zero = dep == departed[ADMIT]
-    key[zero] = np.nextafter(dep[zero], _INF)
     t = np.concatenate((dep, times))
-    order = np.lexsort((t, np.concatenate((key, times))))  # stable: departures first
+    rank = np.concatenate((2 * (dep == departed[ADMIT]), np.ones(len(times), int)))
+    order = np.lexsort((rank, t))  # stable: departures in admission order
     cls = np.concatenate((departed[CLS], offered[CLS]))[order]
     kind = np.concatenate((3 - departed[COMPLETE], ~admitted))[order]
     change = np.concatenate((np.full(len(dep), -1), admitted))[order]
@@ -416,11 +399,12 @@ def run_simulation(config: SimConfig, controller=None, seed: int | None = None,
         controller = make_controller(config)
 
     ss = np.random.SeedSequence(seed)
-    rng_reg, rng_att, rng_life, rng_la = (np.random.default_rng(c)
-                                          for c in ss.spawn(4))
+    rng_time, rng_class, rng_life, rng_la = (np.random.default_rng(c)
+                                             for c in ss.spawn(4))
     traffic = config.traffic
-    reg_stream = _ExpStream(rng_reg, traffic.lambda1)
-    att_stream = _ExpStream(rng_att, traffic.lambda2)
+    # not 1 / (lambda1 + lambda2): that sum is inf at lambda1 = 1e308, k = 1
+    arrivals = _ExpStream(rng_time, 1.0 / traffic.lambda1 / (1.0 + traffic.k))
+    attack_share = traffic.k / (1.0 + traffic.k)
 
     params = controller.initial_params(rng_la)
     state = BacklogState(params, config.hold_mode, traffic.mu, rng_life, config.total_requests)
@@ -440,7 +424,8 @@ def run_simulation(config: SimConfig, controller=None, seed: int | None = None,
         start = window % per_block * wsize
         if not start:  # sample the next block of windows
             n = min(per_block, n_windows - window) * wsize
-            block = state.offered(*_take(reg_stream, att_stream, n), n // wsize)
+            classes = (rng_class.random(n) < attack_share).view(np.int8)
+            block = state.offered(arrivals.take(n), classes, n // wsize)
             block_times = block[ADMIT].tolist()
         offered = block[:, start:start + wsize]  # a view: _schedule fills its rows
         times = block_times[start:start + wsize]

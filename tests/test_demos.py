@@ -15,7 +15,8 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
     ("01_oracle_checks.py",
      [f"=== {case.name} ===" for case in oracle.ORACLE_CASES] + ["  simulated Ploss="]),
     ("02_static_vs_adaptive.py",
-     ["--- static ---", "--- la ---", "  blocked fraction   Ploss = "]),
+     ["--- static ---", "--- la ---", "  blocked fraction   Ploss = ",
+      "  mean hold time     h = "]),
     ("03_attack_sweep.py",
      ["running 40 simulations ...", "   k controller    Ploss", " 2.0         la "]),
 ])

@@ -187,7 +187,7 @@ def test_bad_config_dict_rejected_naming_the_key(doc, key):
 
 @settings(max_examples=25, deadline=None)
 @example(seed=0, lambda1=3.0, k=2.225073858507203e-309, mu=1.0, h=1.0, m=1, window=1,
-         n_windows=1, kind="static", hold_mode="deterministic")  # attack times overflow
+         n_windows=1, kind="static", hold_mode="deterministic")  # a subnormal attack share
 @given(
     seed=st.integers(0, 2**32 - 1),
     lambda1=st.floats(0.01, 100.0),
@@ -291,6 +291,9 @@ def _config_fields(wild):
 
 @settings(max_examples=300, deadline=None)
 @given(st.sets(st.sampled_from(sorted(FIELDS)), max_size=2).flatmap(_config_fields))
+@example({"master_seed": 0, "lambda1": 1e308, "k": 1.0, "mu": 100.0, "h": 75.0, "m": 128,
+          "total_requests": 1000, "window_size": 8, "controller_kind": "la",
+          "hold_mode": "deterministic"})  # the arrival rate lambda1 * (1 + k) overflows
 def test_a_config_is_rejected_naming_a_field_or_gives_a_meaningful_run(f):
     try:
         config = SimConfig(

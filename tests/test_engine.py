@@ -11,7 +11,7 @@ import pytest
 from synsim import engine
 from synsim.domain import DefenseParams, RequestClass, SimConfig, TrafficModel
 from synsim.engine import (ADMIT, CLASS_LABEL, DEP, EVENT_LABELS, HOLD_UNIT, SERVICE,
-                           BacklogState, ConservationError, _BLOCK, _ExpStream, _schedule,
+                           BacklogState, ConservationError, _ExpStream, _schedule,
                            run_simulation, trace_events)
 from synsim.harness import trace_ordering_ok, window_csv
 
@@ -349,29 +349,49 @@ def test_a_block_of_windows_draws_the_lifetimes_of_a_draw_per_window():
 
 # -- arrival sampling --------------------------------------------------------
 
-def test_arrival_times_are_the_running_sum_of_draws():
-    gaps = _ExpStream(np.random.default_rng(7), 3.0)
-    stream = _ExpStream(np.random.default_rng(7), 3.0)
-    times = stream.head(2 * _BLOCK + 1).tolist()  # three blocks
+def test_arrival_times_do_not_depend_on_how_the_draws_are_chunked():
+    stream = _ExpStream(np.random.default_rng(7), 0.25)
+    times = np.concatenate((stream.take(3), stream.take(5000))).tolist()
     t, sums = 0.0, []
-    for _ in range(3):
-        for gap in gaps.draw().tolist():
-            t += gap
-            sums.append(t)
-    assert times == sums[:2 * _BLOCK + 1]  # bit for bit
-    assert stream.head(2 * _BLOCK + 1).tolist() == times  # head takes nothing
+    for gap in np.random.default_rng(7).exponential(0.25, 5003).tolist():
+        t += gap
+        sums.append(t)
+    assert times == sums  # bit for bit
+    assert _ExpStream(np.random.default_rng(7), 0.25).take(5003).tolist() == sums
 
 
 def test_stream_past_the_float_range_never_fires_again():
     # the second time overflows: inf, without an overflow warning
-    first, *rest = _ExpStream(np.random.default_rng(0), 6.7e-309).head(_BLOCK + 1).tolist()
-    assert math.isfinite(first) and rest == [np.inf] * _BLOCK
+    first, *rest = _ExpStream(np.random.default_rng(0), 1 / 6.7e-309).take(100).tolist()
+    assert math.isfinite(first) and rest == [np.inf] * 99
 
 
-def test_zero_rate_stream_never_fires():
-    stream = _ExpStream(np.random.default_rng(7), 0.0)
-    assert stream.draw().tolist() == [np.inf] * _BLOCK
-    assert stream.head(2 * _BLOCK + 1).tolist() == [np.inf] * (2 * _BLOCK + 1)
+def test_the_arrivals_follow_the_traffic_law(monkeypatch):
+    # regular arrivals at lambda1 and attack arrivals at k * lambda1: each
+    # class's mean gap and the attack count within six standard errors
+    n, lambda1, k = 240_000, 10.0, 2.0
+    share = k / (1 + k)
+    bounds = {"attack count": (n * share, 6 * math.sqrt(n * share * (1 - share))),
+              "regular gap": (1 / lambda1, 6 / lambda1 / math.sqrt(n * (1 - share))),
+              "attack gap": (1 / (k * lambda1), 6 / (k * lambda1) / math.sqrt(n * share))}
+    seen = []
+    offered = BacklogState.offered
+
+    def record(state, times, classes, windows):
+        seen.append((times, classes))
+        return offered(state, times, classes, windows)
+
+    monkeypatch.setattr(BacklogState, "offered", record)
+    run_simulation(cfg(total_requests=n, window_size=1000,
+                       traffic=TrafficModel(lambda1=lambda1, k=k, mu=100.0)))
+    times = np.concatenate([t for t, _ in seen])
+    attack = np.concatenate([c for _, c in seen]) == 1
+    assert len(times) == n
+    observed = {"attack count": np.count_nonzero(attack),
+                "regular gap": times[~attack][-1] / np.count_nonzero(~attack),
+                "attack gap": times[attack][-1] / np.count_nonzero(attack)}
+    for name, (expected, bound) in bounds.items():
+        assert abs(observed[name] - expected) < bound, (name, observed[name])
 
 
 # -- full runs ---------------------------------------------------------------
@@ -566,37 +586,38 @@ SAMPLE_PATH_SHA256 = {
     "static-deterministic-0.0":
         "7e03a885ee38afd98bf19b6e7423155730fcef200dfe44a4f04a0f17cd0894d1",
     "static-deterministic-2.0":
-        "5831d0897342d40e4ebd929d1e44dce33898548839560d0044ae0f4d513d2934",
+        "115e2bbce0ae2b42d9c27820b5c6fd5d2b92588d596ae7af8bb8a6b740da74d4",
     "static-exponential-0.0":
         "7e03a885ee38afd98bf19b6e7423155730fcef200dfe44a4f04a0f17cd0894d1",
     "static-exponential-2.0":
-        "aa25fe18e6ce5ec38dabd7a73de3aea831c862f22554fd281b3090d5f4c751da",
+        "bdd12c6695e6709f726a4eb2c82771c2556868bf83e1a12318c646668c61d495",
     "la-deterministic-0.0":
         "6f04f4079b0db0801ea80a7365b756e99f6f56ba4c09c0e64fdadbf65235eb11",
     "la-deterministic-2.0":
-        "fe09ef5c3ba5f8e05fb6962921f9fe4c3b564f5070e0cd19336fe438464180ab",
+        "ad1913819c460d2b69c5c144b4ccdba8c9a619ec0ea6dd0205e669d5891a0556",
     "la-exponential-0.0":
         "8748ed9c03fb85813711ed3d7c274a9780e2ef46f497adabcad5888602f9e513",
     "la-exponential-2.0":
-        "713b5b4f2f7696cfe36cc41f7164687994b1708cbdb2cd1d803623be7144d570",
+        "59bfb419a31e95b2806e0d1dd966a491f0b69c627b2ba4cd4c4877308c934ebb",
     "la-deterministic-2.0-overshoot":
-        "77d46aeafdcf4c8509227e77f68172789b7e78b4f8e00457351be276f2fbaccf",
+        "36ce96e24b586c57c7dd3e5e9a9145af5152c00be36b682ee94fd2f6fd8dd525",
     "la-exponential-2.0-window1":
-        "5327b8e3afe47f9ab9be29b68b4caa081c7a43110b570425288624d0fd440178",
+        "c4fefb6d42669e0e5cf70e252b33671ae6d2e20f37e31d8722b9deebc4b64489",
     "static-exponential-2.0-window700":
-        "641a6e82a142c763fd1500da2653df1ccfc39efbc511ee735c726170f93f536b",
+        "8c65fd915c015bd1aeb37e8ab84c2d34d21030b18b354cd082383f6eac1ba208",
     "la-exponential-2.0-window700":
-        "46ec97c95b650543e4c2673d393a5dc45bfdd87bf9c09e2346a082cebf5d2fc0",
+        "5da781f24ef723e2fefdbe732200dd100a882c4e54d611a8a1b5d24a2eb72f75",
     "la-exponential-2.0-window5000":
-        "df79030616a0aecb5e2e87a84c413d047d9fde2d913f0330a296c6715056571f",
+        "660641ea28d934446ab3b19bb3095162a9751f7a46bad15f85b6a3eeffd7277e",
 }
 CASE_CHANGES = {
-    # m shrinks to 256 with 406 residents: they stay, over the new cap
+    # m shrinks to 256 with 398 residents: they stay, over the new cap
     "la-deterministic-2.0-overshoot": dict(master_seed=9),
     # every arrival is a window, so the controller acts after each one
     "la-exponential-2.0-window1": dict(window_size=1),
     # 700 does not divide the 4096 arrivals sampled at a time: 9 windows make
-    # a block of 5, then a short one of 4; the LA changes h inside both
+    # a block of 5, then a short one of 4; the LA changes m inside the first
+    # and h inside the second
     "static-exponential-2.0-window700": dict(total_requests=6300, window_size=700),
     "la-exponential-2.0-window700": dict(total_requests=6300, window_size=700),
     # a window larger than a block is its own block; h changes before the third window
