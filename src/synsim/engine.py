@@ -31,23 +31,21 @@ block of windows, whatever its class or outcome.  Two runs of one seed with
 different controllers therefore give every arrival the same lifetimes, so a
 static and an adaptive cell differ only by (h, m).
 
-Admission: the slot heap.  Whether an arrival at t is admitted depends
-only on how many residents are still there at t, so the state keeps a
-min-heap of s = min(m, N) slot free-times, N the run's arrivals (0.0 for a
-slot never used).  An arrival at t is admitted iff heap[0] <= t, and its
-departure time then replaces heap[0].  This is the rule "take out every
-departure due by t, then admit iff occupancy < m", tie included: the heap
-holds the departure of every resident still there at t plus values <= t,
-so its minimum is above t exactly when s residents are still there, and
-fewer than N ever are at an arrival.  After an m shrink below the
-occupancy, the heap holds the s latest departures, so admission waits for
-occupancy - s + 1 departures.  h is constant within a window, so each
-arrival's departure time, were it admitted, is computed for the whole window
-in numpy (_schedule, under the h in force) before admission runs.  The run
-loop then makes one call per arrival, admit_or_block: one compare and, on
-admission, one heapreplace; nothing else runs per arrival.  Its answers are
-read once into the window's admission mask, which the settle and the event
-trace share.
+Admission: the slot index.  Whether an arrival at t is admitted depends
+only on how many residents are still there at t.  Once per window, before
+its admissions, open_window indexes the slots from the records: heap, a
+min-heap of the latest m resident departures (with no resident, one
+never-used slot, free from 0.0), and unused, the m - len(heap) other slots.
+An arrival at t reuses heap[0]'s slot if that entry has left by t
+(heapreplace), else takes an unused slot (heappush), else is blocked.
+Arrivals come in time order, so an entry <= t stays free, and this is the
+rule "take out every departure due by t, then admit iff occupancy < m", tie
+included.  After its admissions the heap holds at most the window's starting
+residents plus its admissions, whatever m is.  h is constant within a
+window, so each arrival's departure time, were it admitted, is computed for
+the whole window in numpy (_schedule) before admission runs.  The run loop
+makes one admit_or_block call per arrival, whose answers form the window's
+admission mask, which the settle and the event trace share.
 
 Departures: the settle.  Once per window, advance_to keeps the admitted
 columns of the offered records as new residents and takes out the
@@ -77,7 +75,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from heapq import heapreplace
+from heapq import heappush, heapreplace
 
 import numpy as np
 
@@ -176,17 +174,15 @@ class SimReport:
 
 
 class BacklogState:
-    """Mutable backlog: slot heap, resident records, (h, m), per-class counts."""
+    """Mutable backlog: resident records, (h, m), counts, the window's slot index."""
 
     def __init__(self, params: DefenseParams, hold_mode: str, mu: float,
-                 lifetime_rng: np.random.Generator, total_requests: int):
+                 lifetime_rng: np.random.Generator):
         self.params = params
-        self.total_requests = total_requests  # the run's arrivals bound the slots needed
         self.exponential_hold = hold_mode == "exponential"
         self.mu = mu
         self.lifetime_rng = lifetime_rng
         self.clock = 0.0
-        self.heap = [0.0] * min(params.m, total_requests)  # slot free-times; 0.0 is never used
         self.records = np.empty((6, 0))  # a column per resident, in admission order
         # [regular, attack] pairs
         self.arrivals = [0, 0]
@@ -228,6 +224,12 @@ class BacklogState:
         records[HOLD_UNIT] = units[:, 1].ravel() if self.exponential_hold else 1.0  # 1.0 * h == h
         return records
 
+    def open_window(self) -> None:
+        """Set heap and unused, the slot index of the window's admissions (see the module doc)."""
+        m = self.params.m
+        self.heap = np.sort(self.records[DEP])[-m:].tolist() or [0.0]  # sorted, so a heap
+        self.unused = m - len(self.heap)
+
     def admit_or_block(self, dep: float, now: float) -> bool | None:
         """Admit iff a slot is free at now: True if admitted, None if blocked.
 
@@ -235,18 +237,20 @@ class BacklogState:
         counted and its entry recorded when its window settles.
         """
         heap = self.heap
-        if heap[0] > now:
+        if heap[0] <= now:  # its entry has left by now: reuse the slot
+            heapreplace(heap, dep)
+        elif self.unused:
+            self.unused -= 1
+            heappush(heap, dep)
+        else:
             return None
-        heapreplace(heap, dep)
         return True
 
     # -- departures ------------------------------------------------------
 
     def pop_due(self, until: float) -> np.ndarray:
-        """Take out the residents admitted before until that leave by until.
-
-        They come in admission order, as the records are kept.
-        """
+        """Take out the residents admitted before until that leave by until,
+        in admission order, as the records are kept."""
         records = self.records
         due = (records[DEP] <= until) & (records[ADMIT] < until)
         self.records = records.compress(~due, axis=1)
@@ -294,15 +298,11 @@ class BacklogState:
         """Install new (h, m).  h is retroactive; m-shrink never evicts.
 
         An h change reschedules every resident and evicts the ones now due
-        by now, as expiries.  Any change rebuilds the slot heap: the min(m, N)
-        latest resident departures, after 0.0 free slots when fewer are resident.
+        by now, as expiries.  The next window's open_window indexes the slots
+        under the new m.
         """
-        old = self.params
-        if new == old:
-            return EvictionSummary()
-        self.params = new
         counts = [0, 0]
-        if new.h != old.h:
+        if new.h != self.params.h:
             records = self.records
             _schedule(records, new.h)
             gone = records[DEP] <= now
@@ -311,9 +311,7 @@ class BacklogState:
             self.depart(evicted)
             counts = _per_class(evicted[CLS])
             self.records = records.compress(~gone, axis=1)
-        slots = min(new.m, self.total_requests)
-        latest = np.sort(self.records[DEP])[-slots:].tolist()
-        self.heap = [0.0] * (slots - len(latest)) + latest  # sorted, so a heap
+        self.params = new
         return EvictionSummary(*counts)
 
 
@@ -399,15 +397,14 @@ def run_simulation(config: SimConfig, controller=None, seed: int | None = None,
         controller = make_controller(config)
 
     ss = np.random.SeedSequence(seed)
-    rng_time, rng_class, rng_life, rng_la = (np.random.default_rng(c)
-                                             for c in ss.spawn(4))
+    rng_time, rng_class, rng_life, rng_la = map(np.random.default_rng, ss.spawn(4))
     traffic = config.traffic
     # not 1 / (lambda1 + lambda2): that sum is inf at lambda1 = 1e308, k = 1
     arrivals = _ExpStream(rng_time, 1.0 / traffic.lambda1 / (1.0 + traffic.k))
     attack_share = traffic.k / (1.0 + traffic.k)
 
     params = controller.initial_params(rng_la)
-    state = BacklogState(params, config.hold_mode, traffic.mu, rng_life, config.total_requests)
+    state = BacklogState(params, config.hold_mode, traffic.mu, rng_life)
 
     suffix = f"\t{params.m}\t{params.h}\n"  # the m and h columns
 
@@ -430,6 +427,7 @@ def run_simulation(config: SimConfig, controller=None, seed: int | None = None,
         offered = block[:, start:start + wsize]  # a view: _schedule fills its rows
         times = block_times[start:start + wsize]
         _schedule(offered, params.h)
+        state.open_window()
         # the admission mask: True admitted, None (a block) False
         admitted = np.fromiter(map(admit_or_block, offered[DEP].tolist(), times), bool, wsize)
         t_last = times[-1]
@@ -462,5 +460,4 @@ def run_simulation(config: SimConfig, controller=None, seed: int | None = None,
     _audit(totals)
 
     return SimReport(windows=windows, param_trajectory=trajectory,
-                     cumulative=cumulative_metrics(windows),
-                     totals=totals)
+                     cumulative=cumulative_metrics(windows), totals=totals)

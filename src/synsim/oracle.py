@@ -25,7 +25,8 @@ from .domain import DefenseParams, SimConfig, TrafficModel
 def erlang_b(m: int, offered_load: float) -> float:
     """Blocking probability of an M/M/m/m loss system.
 
-    Recursion: B(0) = 1, B(n) = a*B(n-1) / (n + a*B(n-1)).
+    Recursion: B(0) = 1, B(n) = a*B(n-1) / (n + a*B(n-1)), stopped once B
+    underflows to 0.0, where it stays.
     """
     if m < 0:
         raise ValueError("m must be non-negative")
@@ -33,6 +34,8 @@ def erlang_b(m: int, offered_load: float) -> float:
         raise ValueError("offered load must be non-negative")
     b = 1.0
     for n in range(1, m + 1):
+        if not b:
+            break
         b = offered_load * b / (n + offered_load * b)
     return b
 

@@ -19,9 +19,8 @@ REG = RequestClass.REGULAR
 ATT = RequestClass.ATTACK
 
 
-def make_state(h=75.0, m=128, hold_mode="deterministic", mu=100.0, seed=0, total_requests=10_000):
-    return BacklogState(DefenseParams(h, m), hold_mode, mu,
-                        np.random.default_rng(seed), total_requests)
+def make_state(h=75.0, m=128, hold_mode="deterministic", mu=100.0, seed=0):
+    return BacklogState(DefenseParams(h, m), hold_mode, mu, np.random.default_rng(seed))
 
 
 def offer(state, times, classes):
@@ -30,6 +29,7 @@ def offer(state, times, classes):
     not yet settled."""
     offered = state.offered(times, classes, 1)
     _schedule(offered, state.params.h)
+    state.open_window()
     answers = map(state.admit_or_block, offered[DEP].tolist(), times.tolist())
     return offered, np.fromiter(answers, bool, len(times))
 
@@ -50,8 +50,8 @@ def arrive(state, arrivals):
 
 
 def admit(state, cls, t):
-    """Offer one arrival at t without settling it; True if it is admitted."""
-    return offer(state, np.array([t]), np.array([cls], np.int8))[1][0]
+    """Offer one arrival at t as its own window and settle it; True if it is admitted."""
+    return arrive(state, [(cls, t)])[0][0]
 
 
 # -- backlog mechanics -------------------------------------------------------
@@ -105,8 +105,8 @@ def test_shrunk_capacity_blocks_until_drained():
     summary = state.apply_defense_params(DefenseParams(100.0, 64), 1.0)
     assert (summary.regular, summary.attack) == (0, 0)  # shrink never evicts
     assert sum(state.occupancy) == 130                  # transient overshoot
-    assert len(state.heap) == 64                        # one free-time per slot
     assert not admit(state, ATT, 1.0)                   # still over the new cap
+    assert len(state.heap) + state.unused == 64         # one entry per slot
 
 
 def test_shrink_admits_after_occupancy_minus_new_cap_plus_one_departures():
@@ -138,10 +138,11 @@ def test_retroactive_h_evicts_aged_residents():
     summary = state.apply_defense_params(DefenseParams(5.0, 128), 80.0)
     assert summary.attack == 2
     assert state.expired[ATT] == 2 and sum(state.occupancy) == 1
-    # the records and the heap hold the survivor alone, rescheduled under h=5
+    # the records and the slot index hold the survivor alone, rescheduled under h=5
     assert state.records[ADMIT].tolist() == [78.0]
     assert state.records[DEP].tolist() == [83.0]
-    assert sorted(state.heap) == [0.0] * 127 + [83.0]
+    state.open_window()
+    assert state.heap == [83.0] and len(state.heap) + state.unused == 128
 
 
 def test_retroactive_eviction_counts_as_an_expiry():
@@ -303,7 +304,7 @@ def test_kernel_matches_the_per_event_reference_loop(hold_mode, seed):
     times = np.cumsum(rng.integers(0, 3, 3000)) / 4
     classes = rng.integers(0, 2, 3000).astype(np.int8)
     cuts = np.sort(rng.choice(np.arange(1, 3000), 60, replace=False))
-    grid = [DefenseParams(h, m) for h in (0.5, 1.0, 2.5) for m in (1, 2, 5, 8)]
+    grid = [DefenseParams(h, m) for h in (0.5, 1.0, 2.5) for m in (1, 2, 5, 8, 10**9)]
     windows = [(t, c, grid[rng.integers(len(grid))])
                for t, c in zip(np.split(times, cuts), np.split(classes, cuts))]
     args = (windows, grid[0], hold_mode, 2.0, seed)
@@ -422,8 +423,17 @@ def test_window_count_and_cumulative_sums():
     assert c.arrivals_regular + c.arrivals_attack == 5000
 
 
-def test_slot_heap_is_bounded_by_the_run_arrivals():
-    # 5000 arrivals never fill more than 5000 of the 10**7 slots, so no more are kept
+def test_slot_heap_is_bounded_by_the_run_arrivals(monkeypatch):
+    # the heap holds a window's starting residents and its admissions, not
+    # one entry per slot of the 10**7
+    advance_to, sizes = BacklogState.advance_to, []
+
+    def settle(state, until, offered=np.empty((6, 0)), admitted=np.empty(0, bool)):
+        if len(admitted):  # the heap and records as the window's admissions left them
+            sizes.append((len(state.heap), state.records.shape[1] + np.count_nonzero(admitted)))
+        return advance_to(state, until, offered, admitted)
+
+    monkeypatch.setattr(BacklogState, "advance_to", settle)
     tracemalloc.start()
     try:
         report = run_simulation(cfg(initial_params=DefenseParams(75.0, 10**7)))
@@ -432,6 +442,7 @@ def test_slot_heap_is_bounded_by_the_run_arrivals():
         tracemalloc.stop()
     assert peak < 2 * 2**20
     assert report.cumulative.blocked_regular == report.cumulative.blocked_attack == 0
+    assert len(sizes) == 10 and all(heap <= bound for heap, bound in sizes)
 
 
 @pytest.mark.parametrize("kind", ["static", "la"])

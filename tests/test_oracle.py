@@ -41,6 +41,24 @@ def test_monotone_in_m_and_load():
     assert all(b1 <= b2 for b1, b2 in zip(blocks, blocks[1:]))
 
 
+def full_recursion(m, a):
+    b = 1.0
+    for n in range(1, m + 1):
+        b = a * b / (n + a * b)
+    return b
+
+
+@pytest.mark.parametrize("m, a", [(4000, 1500.0), (500, 1.0), (40, 0.0), (1024, 500.0)])
+def test_early_stop_equals_the_full_recursion(m, a):
+    # the first three underflow to 0.0 before n = m; the last never does
+    assert erlang_b(m, a) == full_recursion(m, a)
+
+
+def test_huge_capacity_returns_at_once():
+    # B is 0.0 from n = 3220 on, so this stops there, not at 10**9 steps
+    assert erlang_b(10**9, 1500.0) == 0.0
+
+
 def test_invalid_inputs():
     with pytest.raises(ValueError):
         erlang_b(-1, 1.0)
