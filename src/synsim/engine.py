@@ -4,9 +4,9 @@ Poisson arrivals, regular and attack, feed a capacity-m buffer.  A regular
 entry leaves by handshake completion (Exp(mu)) or by hitting the hold
 time h, whichever comes first; an attack entry only ever times out.  The
 controller is consulted at every window boundary and may change (h, m)
-mid-run: h is retroactive (residents past the new timeout are evicted on
-the spot), an m shrink evicts nothing and simply blocks admissions until
-the buffer drains below the new cap.
+mid-run: h is retroactive (a resident past the new timeout departs at the
+change, and the next settle takes it out as an expiry), an m shrink evicts
+nothing and simply blocks admissions until the buffer drains below the new cap.
 
 Traffic: one marked stream.  The regular (rate lambda1) and attack
 (k * lambda1) streams are independent Poisson streams, so together they are
@@ -155,9 +155,13 @@ class RunTotals:
 
     arrivals: dict
     admitted: dict
-    blocked: dict
     completed: dict
     expired: dict
+
+    @property
+    def blocked(self) -> dict:
+        """Blocks of each class: the arrivals not admitted."""
+        return {cls: n - self.admitted[cls] for cls, n in self.arrivals.items()}
 
 
 @dataclass
@@ -257,7 +261,7 @@ class BacklogState:
         return records.compress(due, axis=1)
 
     def depart(self, records: np.ndarray) -> None:
-        """Free the records' slots and count their completions and expiries."""
+        """Count the departed records' completions and expiries."""
         completed = int(np.count_nonzero(records[COMPLETE]))
         departed = _per_class(records[CLS])
         self.completed[REG] += completed
@@ -295,22 +299,17 @@ class BacklogState:
     # -- parameter changes -----------------------------------------------
 
     def apply_defense_params(self, new: DefenseParams, now: float) -> EvictionSummary:
-        """Install new (h, m).  h is retroactive; m-shrink never evicts.
-
-        An h change reschedules every resident and evicts the ones now due
-        by now, as expiries.  The next window's open_window indexes the slots
-        under the new m.
-        """
+        """Install new (h, m) at now, the last settle's until.  h is
+        retroactive; m-shrink never evicts.  An h change reschedules the
+        residents; one due before now is evicted: it departs at now, by
+        timeout, and the next settle takes it out (span 0, slot free).
+        Returns the evictions of each class."""
         counts = [0, 0]
         if new.h != self.params.h:
-            records = self.records
-            _schedule(records, new.h)
-            gone = records[DEP] <= now
-            evicted = records.compress(gone, axis=1)
-            evicted[COMPLETE] = 0.0
-            self.depart(evicted)
-            counts = _per_class(evicted[CLS])
-            self.records = records.compress(~gone, axis=1)
+            _schedule(self.records, new.h)
+            evicted = self.records[DEP] < now
+            self.records[DEP, evicted] = now
+            counts = _per_class(self.records[CLS, evicted])
         self.params = new
         return EvictionSummary(*counts)
 
@@ -456,7 +455,7 @@ def run_simulation(config: SimConfig, controller=None, seed: int | None = None,
         event_trace.write(_trace_lines(suffix, departed, 0))
 
     totals = RunTotals(*(dict(zip(RequestClass, pair)) for pair in (
-        state.arrivals, state.admitted, state.blocked, state.completed, state.expired)))
+        state.arrivals, state.admitted, state.completed, state.expired)))
     _audit(totals)
 
     return SimReport(windows=windows, param_trajectory=trajectory,

@@ -157,11 +157,10 @@ class Check:
 
 
 def trace_ordering_ok(trace_text: str) -> bool:
-    """Same-time scheduled departures must precede arrivals.
-
-    A params line resets the ordering within its timestamp: evictions it
-    causes legitimately fire after the window-boundary arrival.
-    """
+    """Same-time departures must precede arrivals; a params line starts afresh,
+    as the evictions it causes follow the window's last arrival.  Assumes every
+    lifetime is positive: a zero lifetime follows its own admission, a correct
+    trace that this rejects, and the text cannot tell it from an inverted tie."""
     rank = {"complete": 0, "expire": 0, "admit": 1, "block": 1}
     prev_t, prev_rank = None, -1
     for line in trace_text.splitlines():

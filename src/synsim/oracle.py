@@ -17,6 +17,7 @@ a_i = lambda_i * E[hold_i] and B = erlang_b(m, a1 + a2) it is exact that
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .domain import DefenseParams, SimConfig, TrafficModel
@@ -26,12 +27,14 @@ def erlang_b(m: int, offered_load: float) -> float:
     """Blocking probability of an M/M/m/m loss system.
 
     Recursion: B(0) = 1, B(n) = a*B(n-1) / (n + a*B(n-1)), stopped once B
-    underflows to 0.0, where it stays.
+    underflows to 0.0, where it stays.  An infinite load blocks everything.
     """
     if m < 0:
         raise ValueError("m must be non-negative")
     if offered_load < 0:
         raise ValueError("offered load must be non-negative")
+    if offered_load == math.inf:
+        return 1.0
     b = 1.0
     for n in range(1, m + 1):
         if not b:
@@ -62,21 +65,41 @@ def two_class_loss(m: int, lambda1: float, lambda2: float,
         raise ValueError("departure rates must be positive")
     if lambda1 < 0 or lambda2 < 0:
         raise ValueError("arrival rates must be non-negative")
-    a1, a2 = lambda1 / rate1, lambda2 / rate2
-    b = erlang_b(m, a1 + a2)
-    return LossSteadyState(Ploss=b, Pr=a1 * (1.0 - b) / m, Pa=a2 * (1.0 - b) / m)
+    return _loss(m, lambda1 / rate1, lambda2 / rate2)
+
+
+def _loss(m: int, a1: float, a2: float) -> LossSteadyState:
+    """Steady state of m slots under finite class loads a1 and a2, a = a1 + a2.
+
+    B = a B(m - 1) / (m + a B(m - 1)) and a_i (1 - B) / m = a_i / (m + a B(m - 1)),
+    so no 1 - B cancels when B is next to 1.  Every term is divided by
+    s = max(a1, a2, 1), so none overflows, and an a past the largest float
+    has B(m - 1) = 1.0, its float value.
+    """
+    scale = max(a1, a2, 1.0)
+    x1, x2 = a1 / scale, a2 / scale
+    held = (x1 + x2) * erlang_b(m - 1, a1 + a2)  # a B(m - 1) / s
+    total = m / scale + held
+    return LossSteadyState(Ploss=held / total, Pr=x1 / total, Pa=x2 / total)
 
 
 def steady_state(config: SimConfig) -> LossSteadyState:
-    """Steady state of config run under its initial (h, m), held fixed."""
+    """Steady state of config run under its initial (h, m), held fixed.
+
+    Exact to float rounding whenever each class load, lambda_i E[hold_i],
+    is finite; a class load past the largest float by itself is out of scope.
+    """
     traffic, params = config.traffic, config.initial_params
-    mu, h = traffic.mu, params.h
+    lambda1, mu, h = traffic.lambda1, traffic.mu, params.h
     if config.hold_mode == "deterministic":
-        mean_regular = -math.expm1(-mu * h) / mu  # E[min(Exp(mu), h)]
+        # E[min(Exp(mu), h)], which is h to float precision once mu h is subnormal
+        x = mu * h
+        a1 = lambda1 * (-math.expm1(-x) / mu if x >= sys.float_info.min else h)
     else:
-        mean_regular = h / (mu * h + 1.0)         # E[min(Exp(mu), Exp(1/h))]
-    return two_class_loss(params.m, traffic.lambda1, traffic.lambda2,
-                          1.0 / mean_regular, 1.0 / h)
+        rate = mu + 1.0 / h  # min(Exp(mu), Exp(1/h)) is Exp(mu + 1/h)
+        # rate overflows only for h < 1e-291, where mu h and lambda1 h are below 1e17
+        a1 = lambda1 / rate if rate < math.inf else lambda1 * h / (1.0 + mu * h)
+    return _loss(params.m, a1, traffic.lambda2 * h)
 
 
 @dataclass(frozen=True)

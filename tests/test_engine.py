@@ -137,20 +137,31 @@ def test_retroactive_h_evicts_aged_residents():
     arrive(state, [(ATT, 0.0), (ATT, 70.0), (ATT, 78.0)])
     summary = state.apply_defense_params(DefenseParams(5.0, 128), 80.0)
     assert summary.attack == 2
-    assert state.expired[ATT] == 2 and sum(state.occupancy) == 1
-    # the records and the slot index hold the survivor alone, rescheduled under h=5
-    assert state.records[ADMIT].tolist() == [78.0]
-    assert state.records[DEP].tolist() == [83.0]
+    # every resident is rescheduled under h=5; the two past it depart at 80
+    assert state.records[DEP].tolist() == [80.0, 80.0, 83.0]
+    # the next settle takes them out as expiries, at 80, before its arrival
+    _, (times, codes, occupancy) = arrive(state, [(ATT, 81.0)])
+    assert times.tolist() == [80.0, 80.0, 81.0]
+    assert [EVENT_LABELS[c] for c in codes] == ["expire\tattack"] * 2 + ["admit\tattack"]
+    assert occupancy.tolist() == [2, 1, 2]
+    assert state.expired[ATT] == 2
+    # the records and the slot index hold the survivor and the new entry
+    assert state.records[ADMIT].tolist() == [78.0, 81.0]
+    assert state.records[DEP].tolist() == [83.0, 86.0]
     state.open_window()
-    assert state.heap == [83.0] and len(state.heap) + state.unused == 128
+    assert state.heap == [83.0, 86.0] and len(state.heap) + state.unused == 128
 
 
-def test_retroactive_eviction_counts_as_an_expiry():
+def test_a_departure_at_the_h_change_keeps_its_own_cause():
+    # only a departure before the change is an eviction, by timeout
     state = make_state(h=10.0, m=4, mu=1e30)  # the service time rounds to zero
     arrive(state, [(REG, 1.0)])  # completes at 1.0, after the window's last arrival
     summary = state.apply_defense_params(DefenseParams(5.0, 4), 1.0)
-    assert summary.regular == 1
-    assert (state.completed[REG], state.expired[REG]) == (0, 1)
+    assert summary.regular == 0
+    _, (times, codes, _) = arrive(state, [(REG, 2.0)])
+    assert times.tolist() == [1.0, 2.0]
+    assert [EVENT_LABELS[c] for c in codes] == ["complete\tregular", "admit\tregular"]
+    assert (state.completed[REG], state.expired[REG]) == (1, 0)
 
 
 def test_capacity_growth_is_eviction_free_and_immediate():
@@ -198,6 +209,9 @@ def reference_loop(windows, params, hold_mode, mu, seed):
     taken out, in (time, admission number) order, before the first arrival
     not earlier than it.  Arrival i of a window takes its service and hold
     units from column i of one (2, n) draw per window, admitted or not.
+
+    An h change reschedules every resident, and one due before the change
+    departs at it, so the next pop takes it out and traces it.
 
     Returns the same observables as kernel_run; each window's integrals
     sum each resident's time in it / m, in admission-number order with the
@@ -261,15 +275,12 @@ def reference_loop(windows, params, hold_mode, mu, seed):
         settle(resident, start, t)
         evicted = [0, 0]
         if new.h != params.h:
-            kept = []
-            for item in heap:
+            for i, item in enumerate(heap):
                 dep, kind = schedule(*item[4:], new.h)
-                if dep <= t:
-                    depart(item, 3)
+                if dep < t:  # evicted: departs at t, taken out by the next pop
                     evicted[item[2]] += 1
-                else:
-                    kept.append((dep, item[1], item[2], kind, *item[4:]))
-            heap[:] = kept
+                    dep = t
+                heap[i] = (dep, item[1], item[2], kind, *item[4:])
             heapify(heap)
         params = new
         evictions.append(evicted)
@@ -310,7 +321,7 @@ def test_kernel_matches_the_per_event_reference_loop(hold_mode, seed):
     args = (windows, grid[0], hold_mode, 2.0, seed)
     *reference, event_integrals = reference_loop(*args)
     kernel = kernel_run(*args)
-    assert kernel == tuple(reference)
+    assert kernel == tuple(reference)  # the eviction lines of each h change included
     # the span sums are the per-event integrals up to rounding
     integrals = kernel[1]
     assert all(math.isclose(a, b, rel_tol=1e-12) for pair in zip(integrals, event_integrals)
@@ -562,30 +573,51 @@ def test_writing_the_event_trace_leaves_the_report_unchanged(kind, hold_mode, wi
     assert traced.totals == plain.totals
 
 
-def test_event_trace_occupancy_column_replays():
+def test_event_trace_occupancy_column_replays(monkeypatch):
+    # every occupancy change is a line: each line reads the running count,
+    # and a params line reads the count at its change
+    apply, evictions = BacklogState.apply_defense_params, {}
+
+    def record(state, new, now):  # the evictions of each change, keyed by its instant
+        changed = new != state.params
+        summary = apply(state, new, now)
+        if changed:
+            evictions[now] = [summary.regular, summary.attack]
+        return summary
+
+    monkeypatch.setattr(BacklogState, "apply_defense_params", record)
     buf = io.StringIO()
     report = run_simulation(cfg(controller_kind="la"), event_trace=buf)
-    step = {"admit": 1, "block": 0, "complete": -1, "expire": -1}
-    lines = {kind: 0 for kind in (*step, "params")}
-    count = drops = drained = 0
+    step = {"admit": 1, "block": 0, "complete": -1, "expire": -1, "params": 0}
+    lines = {kind: [0, 0] for kind in ("admit", "complete", "expire")}
+    count = drained = 0
+    traced_evictions, change = {}, None  # the evictions traced after each params line
     for line in buf.getvalue().splitlines():
-        _, kind, _, occupancy, _, _ = line.split("\t")
+        t, kind, label, occupancy, _, _ = line.split("\t")
         # departures after the last arrival and the last params line
         drained = drained + 1 if kind in ("complete", "expire") else 0
         occupancy = int(occupancy)
-        lines[kind] += 1
-        if kind == "params":
-            # evictions caused by an h change are not traced line by line
-            assert occupancy <= count
-            drops += occupancy < count
-        else:
-            assert occupancy == count + step[kind]
+        assert occupancy == count + step[kind]
         count = occupancy
+        if kind == "params":
+            change = float(t)
+            traced_evictions[change] = [0, 0]
+            continue
+        cls = CLASS_LABEL.index(label)
+        if kind in lines:
+            lines[kind][cls] += 1
+        if kind == "expire" and float(t) == change:
+            traced_evictions[change][cls] += 1
+        else:
+            change = None
     assert count == 0
-    assert drops > 0  # the run does evict, so the params rule is exercised
+    assert traced_evictions == evictions
+    assert sum(map(sum, evictions.values())) > 0  # the run does evict
     assert drained > 0  # the drain leaves departures to replay
-    assert lines["admit"] == sum(report.totals.admitted.values())
-    assert lines["complete"] == sum(report.totals.completed.values())
+    totals = report.totals
+    for kind, counted in (("admit", totals.admitted), ("complete", totals.completed),
+                          ("expire", totals.expired)):
+        assert lines[kind] == [counted[REG], counted[ATT]]
 
 
 # sha256 of the window CSV followed by the event trace, keyed by case id:
@@ -611,9 +643,9 @@ SAMPLE_PATH_SHA256 = {
     "la-exponential-2.0":
         "59bfb419a31e95b2806e0d1dd966a491f0b69c627b2ba4cd4c4877308c934ebb",
     "la-deterministic-2.0-overshoot":
-        "36ce96e24b586c57c7dd3e5e9a9145af5152c00be36b682ee94fd2f6fd8dd525",
+        "2ff93492f81f7bd88c175fa18260084c2eb8a7ba550ba408ad4a698cec046224",
     "la-exponential-2.0-window1":
-        "c4fefb6d42669e0e5cf70e252b33671ae6d2e20f37e31d8722b9deebc4b64489",
+        "bb349c1d8aaff8e2d38dddf09ffcdac08601f0d9a2d047a4b8f6b65af1b33501",
     "static-exponential-2.0-window700":
         "8c65fd915c015bd1aeb37e8ab84c2d34d21030b18b354cd082383f6eac1ba208",
     "la-exponential-2.0-window700":
@@ -652,8 +684,11 @@ def test_sample_path_is_pinned(case):
     text = window_csv(config, report) + buf.getvalue()
     assert hashlib.sha256(text.encode()).hexdigest() == SAMPLE_PATH_SHA256[case]
     if case.endswith("overshoot"):
+        # a params line over its m that no eviction (an expire line at its instant) follows
         rows = [line.split("\t") for line in buf.getvalue().splitlines()]
-        assert any(row[1] == "params" and int(row[3]) > int(row[4]) for row in rows)
+        assert any(row[1] == "params" and int(row[3]) > int(row[4])
+                   and (after[0], after[1]) != (row[0], "expire")
+                   for row, after in zip(rows, rows[1:]))
 
 
 def test_no_params_change_after_the_last_window():

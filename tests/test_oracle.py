@@ -1,9 +1,14 @@
+import itertools
 import math
+import sys
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from synsim.oracle import erlang_b, two_class_loss
+from synsim import DefenseParams, SimConfig, TrafficModel
+from synsim.oracle import ORACLE_CASES, erlang_b, steady_state, two_class_loss
 
 
 def test_zero_servers_block_everything():
@@ -57,6 +62,16 @@ def test_early_stop_equals_the_full_recursion(m, a):
 def test_huge_capacity_returns_at_once():
     # B is 0.0 from n = 3220 on, so this stops there, not at 10**9 steps
     assert erlang_b(10**9, 1500.0) == 0.0
+
+
+def test_infinite_load_blocks_everything():
+    assert erlang_b(0, math.inf) == erlang_b(7, math.inf) == 1.0
+
+
+def test_no_load_blocks_and_holds_nothing():
+    for m in (1, 8):
+        sol = two_class_loss(m, 0.0, 0.0, 1.0, 1.0)
+        assert (sol.Ploss, sol.Pr, sol.Pa) == (0.0, 0.0, 0.0)
 
 
 def test_invalid_inputs():
@@ -121,3 +136,92 @@ def test_single_class_reduces_to_erlang_b():
 def test_exchangeable_classes_are_symmetric():
     sol = two_class_loss(9, 4.0, 4.0, 1.5, 1.5)
     assert sol.Pr == pytest.approx(sol.Pa, abs=1e-9)
+
+
+# -- steady_state against exact arithmetic ------------------------------------
+
+def one_minus_exp(x):
+    """1 - e^-x for a Fraction x > 0: its series below 1, to 40 digits; e^-x
+    to 60 digits up to 2000; 1 beyond, where e^-x < 1e-868."""
+    if x < 1:
+        term, total, n = x, Fraction(0), 1
+        while abs(term) >= total * Fraction(1, 10**40):
+            total += term
+            n += 1
+            term = -term * x / n
+        return total
+    if x > 2000:
+        return Fraction(1)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return 1 - Fraction((-Decimal(x.numerator) / Decimal(x.denominator)).exp())
+
+
+def exact_steady_state(config):
+    """steady_state's closed form in Fraction arithmetic from the config's
+    floats, rounded to float at the end; None if a class load is past the
+    largest float."""
+    traffic, params = config.traffic, config.initial_params
+    lambda1, lambda2, mu, h = map(Fraction, (traffic.lambda1, traffic.lambda2,
+                                             traffic.mu, params.h))
+    if config.hold_mode == "deterministic":
+        mean = one_minus_exp(mu * h) / mu
+    else:
+        mean = h / (1 + mu * h)
+    a1, a2 = lambda1 * mean, lambda2 * h
+    if max(a1, a2) > Fraction(sys.float_info.max):
+        return None
+    a, b = a1 + a2, Fraction(1)
+    for n in range(1, params.m + 1):
+        b = a * b / (n + a * b)
+    return tuple(map(float, (b, a1 * (1 - b) / params.m, a2 * (1 - b) / params.m)))
+
+
+def check_exact(config):
+    """Assert that steady_state(config) is exact_steady_state(config); False,
+    checking nothing, if a class load is past the largest float."""
+    want = exact_steady_state(config)
+    if want is None:
+        return False
+    got = steady_state(config)
+    for name, g, w in zip(("Ploss", "Pr", "Pa"), (got.Ploss, got.Pr, got.Pa), want):
+        # 1e-12 relative; below the normal range, 1e-12 of the smallest normal
+        ok = g == w if w == 0.0 else math.isclose(g, w, rel_tol=1e-12,
+                                                  abs_tol=1e-12 * sys.float_info.min)
+        assert ok, (name, g, w)
+    return True
+
+
+def static_config(hold_mode, h, mu, lambda1=10.0, k=1.0, m=8):
+    return SimConfig(master_seed=0, hold_mode=hold_mode, initial_params=DefenseParams(h, m),
+                     traffic=TrafficModel(lambda1=lambda1, k=k, mu=mu))
+
+
+@pytest.mark.parametrize("hold_mode, h, mu", [
+    ("exponential", 1e307, 100.0),        # mu h overflows: a zero mean regular hold
+    ("exponential", 1e300, 1e308),
+    ("deterministic", 1e-300, 5e-324),    # mu h underflows to 0
+    ("exponential", 1e307, 5e-324),       # a1 + a2 overflows
+    ("deterministic", 1e307, 100.0),      # 1 - B cancels: Pa is about 1, not 0
+])
+def test_steady_state_is_exact_at_the_float_edges(hold_mode, h, mu):
+    assert check_exact(static_config(hold_mode, h, mu))
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES, ids=lambda case: case.name)
+def test_steady_state_of_the_oracle_cases_is_exact(case):
+    assert check_exact(case.config)
+
+
+def test_steady_state_is_exact_on_a_grid_of_extreme_configs():
+    checked = 0
+    for hold_mode, lambda1, k, mu, h, m in itertools.product(
+            ("deterministic", "exponential"), (1e-290, 10.0, 1e300),
+            (0.0, 1e-300, 1.0, 1e300), (5e-324, 1e-300, 1.0, 100.0, 1e300, 1e308),
+            (5e-324, 1e-310, 1e-300, 1e-20, 2.0, 1e300, 1e307, 1e308), (1, 8)):
+        try:
+            config = static_config(hold_mode, h, mu, lambda1, k, m)
+        except ValueError:  # not an accepted config
+            continue
+        checked += check_exact(config)
+    assert checked > 1000, checked
