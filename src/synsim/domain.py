@@ -149,8 +149,11 @@ def validate_config(config: SimConfig) -> list[str]:
     if _instance("initial_params", p, DefenseParams, v):
         if _number("h", p.h, v) and p.h <= 0:
             v.append("h must be strictly positive")
-        if _integer("m", p.m, v) and p.m < 1:
-            v.append("m must be at least 1")
+        if _integer("m", p.m, v):
+            if p.m < 1:
+                v.append("m must be at least 1")
+            elif not _is_finite(p.m):  # the settle and the oracle divide by it as a float
+                v.append("m must be within the float range")
     total_ok = _integer("total_requests", config.total_requests, v)
     if _integer("window_size", config.window_size, v):
         # as Python ints: numpy ints of two widths may not hold each other

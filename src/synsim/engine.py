@@ -61,6 +61,8 @@ regular entry ever completes, since an attack entry's service is inf.  Only
 the event trace orders events, in trace_events, which runs only when a trace
 is written.  A trace line joins the repr of its time, a tail of kind, class
 and occupancy from a bounded cache (_TAILS), and the m and h columns.
+replay_trace is the format's one reader: it replays the lines back to the
+run totals they give, checking each against the rules the writer keeps.
 
 Bookkeeping keeps one representation per concept.  Every per-class count
 (arrivals, admissions, completions, expiries) is a [regular, attack] pair
@@ -162,6 +164,11 @@ class RunTotals:
     def blocked(self) -> dict:
         """Blocks of each class: the arrivals not admitted."""
         return {cls: n - self.admitted[cls] for cls, n in self.arrivals.items()}
+
+
+def _totals(*pairs: list[int]) -> RunTotals:
+    """RunTotals of [regular, attack] pairs of arrivals, admissions, completions, expiries."""
+    return RunTotals(*(dict(zip(RequestClass, pair)) for pair in pairs))
 
 
 @dataclass
@@ -372,6 +379,62 @@ def _trace_lines(suffix: str, *settle) -> str:
     return "".join(pieces)
 
 
+# the occupancy change of each line kind
+_STEP = {"admit": 1, "block": 0, "complete": -1, "expire": -1, "params": 0}
+
+
+def replay_trace(text: str) -> RunTotals:
+    """Replay an event trace line by line; return the RunTotals its lines give.
+
+    Raises ValueError naming the first line that breaks a rule, and the rule:
+    times never decrease; each line's occupancy is the running count, ending
+    at 0; an admit comes only while the count before it is below its m, a
+    block only while it is not; m and h change only on a params line; at one
+    instant, a departure follows an arrival only as an expire after a params
+    line that changed h (an eviction), or as the one zero-lifetime departure
+    of that instant's admission, of its class.  Blind spot: a resident of that
+    class that leaves then, traced after the admission, reads as that zero
+    lifetime; the writer traces it before.
+    """
+    lines = {kind: [0, 0] for kind in ("admit", "block", "complete", "expire")}
+    count, now, columns, number = 0, -_INF, None, 0
+
+    def broken(rule: str) -> ValueError:
+        return ValueError(f"event trace line {number}: {rule}")
+
+    for number, line in enumerate(text.splitlines(), 1):
+        t, kind, label, occupancy, *m_h = line.split("\t")
+        step, t = _STEP[kind], float(t)
+        if t != now:
+            if t < now:
+                raise broken("time decreases")
+            now, arrived, zero, evicting = t, False, None, False
+        if kind == "params":  # an h change evicts at its instant
+            evicting = evicting or columns is not None and m_h[1] != columns[1]
+        elif columns not in (None, m_h):
+            raise broken("m or h changes without a params line")
+        columns = m_h
+        count += step
+        if int(occupancy) != count:
+            raise broken(f"occupancy {occupancy} is not the running count {count}")
+        if kind == "params":
+            continue
+        cls = CLASS_LABEL.index(label)
+        if step >= 0:  # an arrival
+            if (count - step < int(m_h[0])) != bool(step):
+                raise broken("admit at capacity" if step else "block below capacity")
+            arrived, zero = True, cls if step else None
+        elif arrived and not (kind == "expire" and evicting):
+            if zero != cls:
+                raise broken(f"{kind} after an arrival at its instant")
+            zero = None  # the admission's one zero-lifetime departure
+        lines[kind][cls] += 1
+    if count:
+        raise broken(f"the trace ends with {count} residents")
+    return _totals([a + b for a, b in zip(lines["admit"], lines["block"])], lines["admit"],
+                   lines["complete"], lines["expire"])
+
+
 class ConservationError(AssertionError):
     pass
 
@@ -454,8 +517,7 @@ def run_simulation(config: SimConfig, controller=None, seed: int | None = None,
     if event_trace:
         event_trace.write(_trace_lines(suffix, departed, 0))
 
-    totals = RunTotals(*(dict(zip(RequestClass, pair)) for pair in (
-        state.arrivals, state.admitted, state.completed, state.expired)))
+    totals = _totals(state.arrivals, state.admitted, state.completed, state.expired)
     _audit(totals)
 
     return SimReport(windows=windows, param_trajectory=trajectory,

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import warnings
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from synsim import (DefenseParams, SimConfig, TrafficModel, config_from_dict,
                     load_config, run_simulation, validate_config)
 from synsim import controller
+from synsim.engine import replay_trace
 
 
 def _cfg(**kw):
@@ -161,6 +163,8 @@ def _loaded(**doc):
     (partial(SimConfig, master_seed=1, traffic={"lambda1": 10}), "traffic"),
     (partial(replace, BASE, controller_kind=np.array(["la", "la"])), "controller_kind"),
     (partial(replace, BASE, hold_mode=np.array(["deterministic", "exponential"])), "hold_mode"),
+    # an m past the float range: the settle's and the oracle's divisions by it overflow
+    (partial(replace, BASE, initial_params=DefenseParams(75.0, 10**309)), "m"),
 ])
 def test_bad_config_rejected_naming_the_field(config, field):
     with pytest.raises(ValueError, match=f"^invalid config: {field} ") as error:
@@ -208,8 +212,10 @@ def test_valid_configs_give_meaningful_runs(seed, lambda1, k, mu, h, m, window,
                        controller_kind=kind, initial_params=DefenseParams(h, m),
                        hold_mode=hold_mode)
     assert validate_config(config) == []
+    trace = io.StringIO()
     with mock.patch.object(controller, "M_ACTIONS", (1, 8, 64)):  # LA capacities as small as m
-        report = run_simulation(config)
+        report = run_simulation(config, event_trace=trace)
+    assert replay_trace(trace.getvalue()) == report.totals  # blocks included
     t = report.totals
     for cls in t.arrivals:
         assert t.admitted[cls] == t.completed[cls] + t.expired[cls]
@@ -294,6 +300,9 @@ def _config_fields(wild):
 @example({"master_seed": 0, "lambda1": 1e308, "k": 1.0, "mu": 100.0, "h": 75.0, "m": 128,
           "total_requests": 1000, "window_size": 8, "controller_kind": "la",
           "hold_mode": "deterministic"})  # the arrival rate lambda1 * (1 + k) overflows
+@example({"master_seed": 0, "lambda1": 3.0, "k": 1.0, "mu": 100.0, "h": 75.0, "m": 10**400,
+          "total_requests": 1000, "window_size": 8, "controller_kind": "static",
+          "hold_mode": "deterministic"})  # an m past the float range, in force
 def test_a_config_is_rejected_naming_a_field_or_gives_a_meaningful_run(f):
     try:
         config = SimConfig(
@@ -308,9 +317,11 @@ def test_a_config_is_rejected_naming_a_field_or_gives_a_meaningful_run(f):
         violations = message.removeprefix("invalid config: ").split("; ")
         assert all(v.split(" ", 1)[0] in FIELDS for v in violations), message
         return
+    trace = io.StringIO()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        report = run_simulation(config)
+        report = run_simulation(config, event_trace=trace)
+    assert replay_trace(trace.getvalue()) == report.totals  # blocks included
     t = report.totals
     for cls in t.arrivals:
         assert t.admitted[cls] == t.completed[cls] + t.expired[cls]

@@ -12,7 +12,7 @@ from synsim import engine
 from synsim.domain import DefenseParams, RequestClass, SimConfig, TrafficModel
 from synsim.engine import (ADMIT, CLASS_LABEL, DEP, EVENT_LABELS, HOLD_UNIT, SERVICE,
                            BacklogState, ConservationError, _ExpStream, _schedule,
-                           run_simulation, trace_events)
+                           replay_trace, run_simulation, trace_events)
 from synsim.harness import trace_ordering_ok, window_csv
 
 REG = RequestClass.REGULAR
@@ -574,8 +574,8 @@ def test_writing_the_event_trace_leaves_the_report_unchanged(kind, hold_mode, wi
 
 
 def test_event_trace_occupancy_column_replays(monkeypatch):
-    # every occupancy change is a line: each line reads the running count,
-    # and a params line reads the count at its change
+    # every occupancy change is a line, so the trace replays to the run's
+    # totals, and the expire lines right after a params line are its evictions
     apply, evictions = BacklogState.apply_defense_params, {}
 
     def record(state, new, now):  # the evictions of each change, keyed by its instant
@@ -588,36 +588,113 @@ def test_event_trace_occupancy_column_replays(monkeypatch):
     monkeypatch.setattr(BacklogState, "apply_defense_params", record)
     buf = io.StringIO()
     report = run_simulation(cfg(controller_kind="la"), event_trace=buf)
-    step = {"admit": 1, "block": 0, "complete": -1, "expire": -1, "params": 0}
-    lines = {kind: [0, 0] for kind in ("admit", "complete", "expire")}
-    count = drained = 0
+    assert replay_trace(buf.getvalue()) == report.totals
     traced_evictions, change = {}, None  # the evictions traced after each params line
-    for line in buf.getvalue().splitlines():
-        t, kind, label, occupancy, _, _ = line.split("\t")
-        # departures after the last arrival and the last params line
-        drained = drained + 1 if kind in ("complete", "expire") else 0
-        occupancy = int(occupancy)
-        assert occupancy == count + step[kind]
-        count = occupancy
+    rows = [line.split("\t") for line in buf.getvalue().splitlines()]
+    for t, kind, label, *_ in rows:
         if kind == "params":
-            change = float(t)
-            traced_evictions[change] = [0, 0]
-            continue
-        cls = CLASS_LABEL.index(label)
-        if kind in lines:
-            lines[kind][cls] += 1
-        if kind == "expire" and float(t) == change:
-            traced_evictions[change][cls] += 1
+            change = t
+            traced_evictions[float(t)] = [0, 0]
+        elif kind == "expire" and t == change:
+            traced_evictions[float(t)][CLASS_LABEL.index(label)] += 1
         else:
             change = None
-    assert count == 0
     assert traced_evictions == evictions
     assert sum(map(sum, evictions.values())) > 0  # the run does evict
-    assert drained > 0  # the drain leaves departures to replay
-    totals = report.totals
-    for kind, counted in (("admit", totals.admitted), ("complete", totals.completed),
-                          ("expire", totals.expired)):
-        assert lines[kind] == [counted[REG], counted[ATT]]
+    assert rows[-1][1] in ("complete", "expire")  # the drain leaves departures to replay
+
+
+def tsv(*lines):
+    """Event-trace text of space-separated lines."""
+    return "".join(line.replace(" ", "\t") + "\n" for line in lines)
+
+
+def retyped(lines, kind, new_kind, step):
+    """lines with the first `kind` line made a `new_kind` line, its occupancy moved
+    by step; returns the text and the line's number."""
+    i = next(i for i, line in enumerate(lines) if line.split("\t")[1] == kind)
+    t, _, label, occupancy, m_h = lines[i].split("\t", 4)
+    lines[i] = "\t".join((t, new_kind, label, str(int(occupancy) + step), m_h))
+    return "".join(lines), i + 1
+
+
+def cut_before_the_drain(lines):
+    last = max(i for i, line in enumerate(lines) if line.split("\t")[1] in ("admit", "block"))
+    return "".join(lines[:last + 1]), last + 1
+
+
+def first_admit_deleted(lines):
+    i = next(i for i, line in enumerate(lines) if "\tadmit\t" in line)
+    del lines[i]
+    return "".join(lines), i + 1  # the line after it reads one resident too many
+
+
+def time_decreases(lines):
+    lines[1] = "0.0\t" + lines[1].split("\t", 1)[1]
+    return "".join(lines), 2
+
+
+@pytest.mark.parametrize("corrupt, rule", [
+    (lambda lines: retyped(lines, "block", "admit", 1), "admit at capacity"),
+    (lambda lines: retyped(lines, "admit", "block", -1), "block below capacity"),
+    (first_admit_deleted, "occupancy 2 is not the running count 1"),
+    (time_decreases, "time decreases"),
+    (cut_before_the_drain, "the trace ends with 128 residents"),
+    # the old inverted tie: an arrival, then a departure of another class at its instant
+    (lambda _: (tsv("0.5 admit attack 1 128 75.0", "1.5 admit regular 2 128 75.0",
+                    "1.5 expire attack 1 128 75.0", "2.0 complete regular 0 128 75.0"), 3),
+     "expire after an arrival at its instant"),
+    # an admission has one zero-lifetime departure
+    (lambda _: (tsv("0.5 admit regular 1 128 75.0", "1.5 admit regular 2 128 75.0",
+                    "1.5 complete regular 1 128 75.0", "1.5 complete regular 0 128 75.0"), 4),
+     "complete after an arrival at its instant"),
+    (lambda _: (tsv("0.5 admit attack 1 128 75.0", "2.0 expire attack 0 128 30.0"), 2),
+     "m or h changes without a params line"),
+    (lambda _: (tsv("0.5 admit attack 1 128 75.0", "2.0 expire attack 0 64 75.0"), 2),
+     "m or h changes without a params line"),
+    # a params line that changes only m evicts nothing
+    (lambda _: (tsv("0.5 admit attack 1 128 75.0", "1.5 admit regular 2 128 75.0",
+                    "1.5 params - 2 256 75.0", "1.5 expire attack 1 256 75.0",
+                    "2.0 complete regular 0 256 75.0"), 4),
+     "expire after an arrival at its instant"),
+], ids=["block-to-admit", "admit-to-block", "admit-deleted", "time-decreases", "cut",
+        "inverted-tie", "second-zero-lifetime", "h-without-params", "m-without-params",
+        "m-change-evicts"])
+def test_replay_rejects_a_corrupted_trace_naming_its_line_and_rule(corrupt, rule):
+    # a static k = 2 run fills its 128 slots, so it both admits and blocks
+    buf = io.StringIO()
+    run_simulation(cfg(total_requests=2000, traffic=TrafficModel(lambda1=10, k=2, mu=100)),
+                   event_trace=buf)
+    assert replay_trace(buf.getvalue())  # replays as written
+    text, number = corrupt(buf.getvalue().splitlines(keepends=True))
+    with pytest.raises(ValueError, match=f"^event trace line {number}: {rule}$"):
+        replay_trace(text)
+
+
+def test_an_eviction_and_a_zero_lifetime_follow_an_arrival_at_its_instant():
+    # the h change's eviction of a regular resident, then the admission's zero lifetime:
+    # read as the admission's departure, the eviction would leave the completion none
+    text = tsv("0.5 admit regular 1 128 75.0", "1.5 admit regular 2 128 75.0",
+               "1.5 params - 2 256 30.0", "1.5 expire regular 1 256 30.0",
+               "1.5 complete regular 0 256 30.0")
+    totals = replay_trace(text)
+    assert (totals.arrivals, totals.completed, totals.expired) == (
+        {REG: 2, ATT: 0}, {REG: 1, ATT: 0}, {REG: 1, ATT: 0})
+
+
+@pytest.mark.parametrize("config", [
+    # every entry leaves at its own admission instant
+    cfg(total_requests=2000, initial_params=DefenseParams(1e-300, 8)),
+    # every regular entry completes at its admission instant, after the params line
+    # and the evictions when it is the last arrival of its window
+    cfg(master_seed=2024, total_requests=4000, controller_kind="la",
+        traffic=TrafficModel(lambda1=10, k=1, mu=1e30)),
+], ids=["static-h-1e-300", "la-mu-1e30"])
+def test_zero_lifetimes_replay_where_the_ordering_scan_fails(config):
+    buf = io.StringIO()
+    report = run_simulation(config, event_trace=buf)
+    assert replay_trace(buf.getvalue()) == report.totals
+    assert not trace_ordering_ok(buf.getvalue())
 
 
 # sha256 of the window CSV followed by the event trace, keyed by case id:
