@@ -32,20 +32,20 @@ different controllers therefore give every arrival the same lifetimes, so a
 static and an adaptive cell differ only by (h, m).
 
 Admission: the slot index.  Whether an arrival at t is admitted depends
-only on how many residents are still there at t.  Once per window, before
-its admissions, open_window indexes the slots from the records: heap, a
-min-heap of the latest m resident departures (with no resident, one
-never-used slot, free from 0.0), and unused, the m - len(heap) other slots.
-An arrival at t reuses heap[0]'s slot if that entry has left by t
-(heapreplace), else takes an unused slot (heappush), else is blocked.
-Arrivals come in time order, so an entry <= t stays free, and this is the
-rule "take out every departure due by t, then admit iff occupancy < m", tie
-included.  After its admissions the heap holds at most the window's starting
-residents plus its admissions, whatever m is.  h is constant within a
-window, so each arrival's departure time, were it admitted, is computed for
-the whole window in numpy (_schedule) before admission runs.  The run loop
-makes one admit_or_block call per arrival, whose answers form the window's
-admission mask, which the settle and the event trace share.
+only on how many residents are still there at t.  step runs a window: h is
+constant within it, so it first computes each arrival's departure time,
+were it admitted, for the whole window in numpy (_schedule).  It then
+indexes the slots from the records: heap, a min-heap of the latest m
+resident departures (with no resident, one never-used slot, free from 0.0),
+and unused, the m - len(heap) other slots.  An arrival at t reuses heap[0]'s
+slot if that entry has left by t (heapreplace), else takes an unused slot
+(heappush), else is blocked.  Arrivals come in time order, so an entry <= t
+stays free, and this is the rule "take out every departure due by t, then
+admit iff occupancy < m", tie included.  After its admissions the heap holds
+at most the window's starting residents plus its admissions, whatever m is.
+step makes one admit_or_block call per arrival, whose answers form the
+window's admission mask, which the settle and the event trace share, and
+then settles the window.
 
 Departures: the settle.  Once per window, advance_to keeps the admitted
 columns of the offered records as new residents and takes out the
@@ -213,7 +213,7 @@ class BacklogState:
         return [n - a for n, a in zip(self.arrivals, self.admitted)]
 
     def window_counters(self) -> tuple:
-        """Running counts in finalize_window's argument order."""
+        """Running counts in WindowMetrics' field order."""
         return (*self.arrivals, *self.blocked, self.completed[REG], self.expired[REG])
 
     # -- admissions ------------------------------------------------------
@@ -235,11 +235,18 @@ class BacklogState:
         records[HOLD_UNIT] = units[:, 1].ravel() if self.exponential_hold else 1.0  # 1.0 * h == h
         return records
 
-    def open_window(self) -> None:
-        """Set heap and unused, the slot index of the window's admissions (see the module doc)."""
+    def step(self, offered: np.ndarray, times: list[float]) -> tuple[np.ndarray, np.ndarray]:
+        """Run one window (see the module doc): offered are its records, which
+        it schedules in place, and times their arrival times.  Returns the
+        admission mask and the records the settle took out, in admission order."""
+        _schedule(offered, self.params.h)
         m = self.params.m
         self.heap = np.sort(self.records[DEP])[-m:].tolist() or [0.0]  # sorted, so a heap
         self.unused = m - len(self.heap)
+        # True admitted, None (a block) False
+        admitted = np.fromiter(map(self.admit_or_block, offered[DEP].tolist(), times), bool,
+                               len(times))
+        return admitted, self.advance_to(times[-1], offered, admitted)
 
     def admit_or_block(self, dep: float, now: float) -> bool | None:
         """Admit iff a slot is free at now: True if admitted, None if blocked.
@@ -387,24 +394,46 @@ def replay_trace(text: str) -> RunTotals:
     """Replay an event trace line by line; return the RunTotals its lines give.
 
     Raises ValueError naming the first line that breaks a rule, and the rule:
-    times never decrease; each line's occupancy is the running count, ending
-    at 0; an admit comes only while the count before it is below its m, a
-    block only while it is not; m and h change only on a params line; at one
-    instant, a departure follows an arrival only as an expire after a params
-    line that changed h (an eviction), or as the one zero-lifetime departure
-    of that instant's admission, of its class.  Blind spot: a resident of that
-    class that leaves then, traced after the admission, reads as that zero
-    lifetime; the writer traces it before.
+    a line has six columns, a known kind and class, a time that is a number
+    (inf included, nan not), an integer occupancy and m and a number h;
+    times never decrease; each line's occupancy is the running count, never
+    below 0 and ending at 0; an admit comes only while the count before it
+    is below its m, a block only while it is not; m and h change only on a
+    params line; at one instant, a departure follows an arrival only as an
+    expire after a params line that changed h (an eviction), or as the one
+    zero-lifetime departure of that instant's admission, of its class.
+    Blind spot: a resident of that class that leaves then, traced after the
+    admission, reads as that zero lifetime; the writer traces it before.
     """
     lines = {kind: [0, 0] for kind in ("admit", "block", "complete", "expire")}
     count, now, columns, number = 0, -_INF, None, 0
+    arrived, zero, evicting = False, None, False  # at the instant now
 
     def broken(rule: str) -> ValueError:
         return ValueError(f"event trace line {number}: {rule}")
 
+    def parsed(convert, name: str, text: str):
+        """The column's value, by float or int; nan is not a number."""
+        try:
+            value = convert(text)
+        except ValueError:
+            value = math.nan
+        if math.isnan(value):
+            noun = "a number" if convert is float else "an integer"
+            raise broken(f"{name} {text!r} is not {noun}")
+        return value
+
     for number, line in enumerate(text.splitlines(), 1):
-        t, kind, label, occupancy, *m_h = line.split("\t")
-        step, t = _STEP[kind], float(t)
+        if len(row := line.split("\t")) != 6:
+            raise broken(f"columns: {len(row)}, not 6")
+        t, kind, label, occupancy, *m_h = row
+        if kind not in _STEP:
+            raise broken(f"unknown kind {kind!r}")
+        if label not in (("-",) if kind == "params" else CLASS_LABEL):
+            raise broken(f"unknown class {label!r}")
+        step, t = _STEP[kind], parsed(float, "time", t)
+        occupancy, m = parsed(int, "occupancy", occupancy), parsed(int, "m", m_h[0])
+        parsed(float, "h", m_h[1])  # compared as text, but a number
         if t != now:
             if t < now:
                 raise broken("time decreases")
@@ -415,13 +444,15 @@ def replay_trace(text: str) -> RunTotals:
             raise broken("m or h changes without a params line")
         columns = m_h
         count += step
-        if int(occupancy) != count:
+        if occupancy != count:
             raise broken(f"occupancy {occupancy} is not the running count {count}")
+        if count < 0:
+            raise broken("a departure with no resident")
         if kind == "params":
             continue
         cls = CLASS_LABEL.index(label)
         if step >= 0:  # an arrival
-            if (count - step < int(m_h[0])) != bool(step):
+            if (count - step < m) != bool(step):
                 raise broken("admit at capacity" if step else "block below capacity")
             arrived, zero = True, cls if step else None
         elif arrived and not (kind == "expire" and evicting):
@@ -476,7 +507,6 @@ def run_simulation(config: SimConfig, controller=None, seed: int | None = None,
     trajectory = [params]
     counts_start, t_start = state.window_counters(), 0.0
 
-    admit_or_block, advance_to = state.admit_or_block, state.advance_to
     per_block = max(1, _SAMPLE_BLOCK // wsize)  # the windows sampled at a time
 
     for window in range(n_windows):
@@ -486,21 +516,17 @@ def run_simulation(config: SimConfig, controller=None, seed: int | None = None,
             classes = (rng_class.random(n) < attack_share).view(np.int8)
             block = state.offered(arrivals.take(n), classes, n // wsize)
             block_times = block[ADMIT].tolist()
-        offered = block[:, start:start + wsize]  # a view: _schedule fills its rows
+        offered = block[:, start:start + wsize]  # a view: step schedules it in place
         times = block_times[start:start + wsize]
-        _schedule(offered, params.h)
-        state.open_window()
-        # the admission mask: True admitted, None (a block) False
-        admitted = np.fromiter(map(admit_or_block, offered[DEP].tolist(), times), bool, wsize)
+        admitted, departed = state.step(offered, times)
         t_last = times[-1]
-        departed = advance_to(t_last, offered, admitted)
         if event_trace:
             event_trace.write(_trace_lines(suffix, departed, sum(state.occupancy),
                                            offered, admitted))
 
         counts_end = state.window_counters()
-        wm = finalize_window(*(e - s for e, s in zip(counts_end, counts_start)),
-                             *state.integral, t_last - t_start)
+        wm = finalize_window([e - s for e, s in zip(counts_end, counts_start)],
+                             state.integral, t_last - t_start)
         windows.append(wm)
         counts_start, t_start = counts_end, t_last
         new_params = controller.on_window_end(wm, rng_la)
@@ -513,7 +539,7 @@ def run_simulation(config: SimConfig, controller=None, seed: int | None = None,
             trajectory.append(params)
 
     # drain all residents after the last arrival
-    departed = advance_to(_INF)
+    departed = state.advance_to(_INF)
     if event_trace:
         event_trace.write(_trace_lines(suffix, departed, 0))
 

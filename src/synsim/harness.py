@@ -19,11 +19,10 @@ from . import oracle
 from .controller import LaController, make_controller
 from .domain import SimConfig, load_config
 from .engine import replay_trace, run_simulation
+from .metrics import WINDOW_FIELDS, window_values
 
-WINDOW_COLUMNS = ("window_index", "k", "controller", "h", "m",
-                  "arrivals_regular", "arrivals_attack", "blocked_regular",
-                  "blocked_attack", "completed", "legit_expired",
-                  "Ploss", "Pr", "Pa", "J")
+# a window's fields but its duration, the last
+WINDOW_COLUMNS = ("window_index", "k", "controller", "h", "m", *WINDOW_FIELDS[:-1])
 LA_TRACE_COLUMNS = ("round", "automaton", "action_index", "action_value", "probability")
 SWEEP_COLUMNS = ("k", "seed", "controller", "Ploss", "Pr", "Pa", "J",
                  "mean_h", "mean_m", "legit_expired_fraction")
@@ -42,9 +41,7 @@ def window_csv(config: SimConfig, report) -> str:
     """Per-window CSV for one run (exact column order per the interface)."""
     k, kind = config.traffic.k, config.controller_kind
     return _csv(WINDOW_COLUMNS, (
-        (idx, k, kind, p.h, p.m, w.arrivals_regular, w.arrivals_attack,
-         w.blocked_regular, w.blocked_attack, w.completed, w.legit_expired,
-         w.Ploss, w.Pr, w.Pa, w.J)
+        (idx, k, kind, p.h, p.m, *window_values(w)[:-1])
         for idx, (w, p) in enumerate(zip(report.windows, report.param_trajectory))))
 
 
@@ -125,12 +122,12 @@ def run_sweep(spec: SweepSpec, out_path: str | None = None,
     """One row per (k, seed, controller), sorted, as CSV text."""
     cells = spec.cells
     if workers is None:  # the CPUs this process may run on
-        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                else os.cpu_count() or 1)
-        workers = min(len(cells), cpus)
+        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
     elif workers < 1:
         raise ValueError(f"workers must be at least 1, not {workers!r}")
-    if workers > 1 and len(cells) > 1:
+    workers = min(workers, len(cells))  # a pool may start all its workers at once
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_cell, cells, chunksize=1))
     else:

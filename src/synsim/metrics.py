@@ -8,7 +8,8 @@ factor floored at EPSILON_FLOOR so the no-attack case stays finite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 EPSILON_FLOOR = 1e-6
 
@@ -28,6 +29,11 @@ class WindowMetrics:
     window_duration: float
 
 
+WINDOW_FIELDS = tuple(f.name for f in fields(WindowMetrics))
+window_values = attrgetter(*WINDOW_FIELDS)  # a window's fields, in order, as a tuple
+_N_COUNTS = WINDOW_FIELDS.index("Ploss")  # the counts come first
+
+
 def objective(Pr: float, Pa: float, Ploss: float) -> float:
     """J = max(Pr, eps) / (max(Pa, eps) * max(Ploss, eps)), eps = EPSILON_FLOOR.
 
@@ -38,37 +44,23 @@ def objective(Pr: float, Pa: float, Ploss: float) -> float:
     return max(Pr, eps) / (max(Pa, eps) * max(Ploss, eps))
 
 
-def finalize_window(arrivals_regular: int, arrivals_attack: int,
-                    blocked_regular: int, blocked_attack: int,
-                    completed: int, legit_expired: int,
-                    norm_integral_regular: float, norm_integral_attack: float,
-                    duration: float) -> WindowMetrics:
+def finalize_window(counts, integrals, duration: float) -> WindowMetrics:
     """Turn one window's counts and integrals into a WindowMetrics.
 
-    The integrals are each class's occupancy / m integrated over exactly
-    this window.
+    counts are the six counts, in WindowMetrics' field order; integrals are
+    each class's occupancy / m integrated over exactly this window, regular
+    first.
     """
     if duration <= 0.0:
         raise ValueError("empty window")
-    arrivals = arrivals_regular + arrivals_attack
-    blocked = blocked_regular + blocked_attack
+    arrivals = counts[0] + counts[1]
+    blocked = counts[2] + counts[3]
     ploss = blocked / arrivals if arrivals > 0 else 0.0
-    # a sum of resident spans / m can overshoot the duration by a few ulp
-    pr = min(norm_integral_regular / duration, 1.0)
-    pa = min(norm_integral_attack / duration, 1.0)
-    return WindowMetrics(
-        arrivals_regular=arrivals_regular,
-        arrivals_attack=arrivals_attack,
-        blocked_regular=blocked_regular,
-        blocked_attack=blocked_attack,
-        completed=completed,
-        legit_expired=legit_expired,
-        Ploss=ploss,
-        Pr=pr,
-        Pa=pa,
-        J=objective(pr, pa, ploss),
-        window_duration=duration,
-    )
+    # a sum of resident spans / m can overshoot the duration by a few ulp, and
+    # after an m shrink below the occupancy by the residents over the new m:
+    # the cap drops both, the second a real excess
+    pr, pa = (min(integral / duration, 1.0) for integral in integrals)
+    return WindowMetrics(*counts, ploss, pr, pa, objective(pr, pa, ploss), duration)
 
 
 def cumulative_metrics(windows: list[WindowMetrics]) -> WindowMetrics:
@@ -80,7 +72,7 @@ def cumulative_metrics(windows: list[WindowMetrics]) -> WindowMetrics:
     """
     if not windows:
         raise ValueError("no windows to aggregate")
-    rows = [(w.arrivals_regular, w.arrivals_attack, w.blocked_regular, w.blocked_attack,
-             w.completed, w.legit_expired, w.Pr * w.window_duration,
+    rows = [(*window_values(w)[:_N_COUNTS], w.Pr * w.window_duration,
              w.Pa * w.window_duration, w.window_duration) for w in windows]
-    return finalize_window(*map(sum, zip(*rows)))
+    *counts, regular, attack, duration = map(sum, zip(*rows))
+    return finalize_window(counts, (regular, attack), duration)

@@ -11,7 +11,7 @@ import pytest
 from synsim import engine
 from synsim.domain import DefenseParams, RequestClass, SimConfig, TrafficModel
 from synsim.engine import (ADMIT, CLASS_LABEL, DEP, EVENT_LABELS, HOLD_UNIT, SERVICE,
-                           BacklogState, ConservationError, _ExpStream, _schedule,
+                           BacklogState, ConservationError, _ExpStream,
                            replay_trace, run_simulation, trace_events)
 from synsim.harness import trace_ordering_ok, window_csv
 
@@ -23,30 +23,20 @@ def make_state(h=75.0, m=128, hold_mode="deterministic", mu=100.0, seed=0):
     return BacklogState(DefenseParams(h, m), hold_mode, mu, np.random.default_rng(seed))
 
 
-def offer(state, times, classes):
-    """Offer one window of arrivals, as run_simulation does; returns the
-    offered records, scheduled under the h in force, and the admission mask,
-    not yet settled."""
-    offered = state.offered(times, classes, 1)
-    _schedule(offered, state.params.h)
-    state.open_window()
-    answers = map(state.admit_or_block, offered[DEP].tolist(), times.tolist())
-    return offered, np.fromiter(answers, bool, len(times))
-
-
-def settle(state, until, offered=np.empty((6, 0)), admitted=np.empty(0, bool)):
-    """Settle up to until, as run_simulation does; returns the traced events."""
-    departed = state.advance_to(until, offered, admitted)
-    return trace_events(departed, sum(state.occupancy), offered, admitted)
-
-
 def arrive(state, arrivals):
-    """Offer (class, time) arrivals as one window and settle it; returns
+    """Offer (class, time) arrivals as one window through state.step; returns
     the admission mask and the settled events."""
     times = np.array([t for _, t in arrivals])
     classes = np.array([cls for cls, _ in arrivals], np.int8)
-    offered, admitted = offer(state, times, classes)
-    return admitted, settle(state, times[-1], offered, admitted)
+    offered = state.offered(times, classes, 1)
+    admitted, departed = state.step(offered, times.tolist())
+    return admitted, trace_events(departed, sum(state.occupancy), offered, admitted)
+
+
+def drain(state):
+    """Drain every resident, as run_simulation does after the last arrival;
+    returns the traced events."""
+    return trace_events(state.advance_to(np.inf), 0)
 
 
 def admit(state, cls, t):
@@ -145,11 +135,12 @@ def test_retroactive_h_evicts_aged_residents():
     assert [EVENT_LABELS[c] for c in codes] == ["expire\tattack"] * 2 + ["admit\tattack"]
     assert occupancy.tolist() == [2, 1, 2]
     assert state.expired[ATT] == 2
-    # the records and the slot index hold the survivor and the new entry
+    # the records and the next window's slot index hold the survivor and the
+    # new entry; that window's arrival at 82 takes an unused slot
     assert state.records[ADMIT].tolist() == [78.0, 81.0]
     assert state.records[DEP].tolist() == [83.0, 86.0]
-    state.open_window()
-    assert state.heap == [83.0, 86.0] and len(state.heap) + state.unused == 128
+    arrive(state, [(ATT, 82.0)])
+    assert state.heap == [83.0, 86.0, 87.0] and len(state.heap) + state.unused == 128
 
 
 def test_a_departure_at_the_h_change_keeps_its_own_cause():
@@ -194,7 +185,7 @@ def test_advance_to_symmetric_half_occupancy():
 def test_drain_settles_every_resident():
     state = make_state(h=10.0, m=8)
     arrive(state, [(ATT, 0.0), (REG, 1.0), (ATT, 2.0)])
-    times, codes, occupancy = settle(state, np.inf)
+    times, codes, occupancy = drain(state)
     assert times.tolist() == sorted(times.tolist()) and len(times) == 2
     assert occupancy.tolist() == [1, 0]
     assert state.occupancy == [0, 0] and state.records.shape == (6, 0)
@@ -299,7 +290,7 @@ def kernel_run(windows, params, hold_mode, mu, seed):
         integrals.append(list(state.integral))
         summary = state.apply_defense_params(new, float(times[-1]))
         evictions.append([summary.regular, summary.attack])
-    trace += zip(*(x.tolist() for x in settle(state, np.inf)))
+    trace += zip(*(x.tolist() for x in drain(state)))
     integrals.append(list(state.integral))
     counts = {"blocked": state.blocked, "completed": state.completed,
               "expired": state.expired}
@@ -338,13 +329,12 @@ def test_states_of_one_seed_give_every_arrival_the_same_lifetimes():
     for window in range(5):
         times = np.sort(rng.uniform(window, window + 1, 300))
         classes = rng.integers(0, 2, 300).astype(np.int8)
-        (a, a_admitted), (b, b_admitted) = (offer(state, times, classes)
-                                            for state in (small, large))
+        a, b = (state.offered(times, classes, 1) for state in (small, large))
+        (a_admitted, _), (b_admitted, _) = (state.step(records, times.tolist())
+                                            for state, records in ((small, a), (large, b)))
         assert (a_admitted != b_admitted).any()
         for row in (SERVICE, HOLD_UNIT):
             assert a[row].tobytes() == b[row].tobytes()  # bit for bit
-        small.advance_to(times[-1], a, a_admitted)
-        large.advance_to(times[-1], b, b_admitted)
     assert small.blocked[REG] > 0 and large.blocked == [0, 0]
 
 
@@ -657,9 +647,30 @@ def time_decreases(lines):
                     "1.5 params - 2 256 75.0", "1.5 expire attack 1 256 75.0",
                     "2.0 complete regular 0 256 75.0"), 4),
      "expire after an arrival at its instant"),
+    # malformed lines
+    (lambda _: (tsv("0.5 admitt attack 1 128 75.0"), 1), "unknown kind 'admitt'"),
+    (lambda _: (tsv("0.5 admit attacker 1 128 75.0"), 1), "unknown class 'attacker'"),
+    (lambda _: (tsv("0.5 admit attack"), 1), "columns: 3, not 6"),
+    (lambda _: (tsv("0.5 admit attack 1 128 75.0", "", "2.0 expire attack 0 128 75.0"), 2),
+     "columns: 1, not 6"),
+    (lambda _: (tsv("abc admit attack 1 128 75.0"), 1), "time 'abc' is not a number"),
+    (lambda _: (tsv("0.5 admit attack 1 128 75.0", "0.5 params - 1 64"), 2), "columns: 5, not 6"),
+    # nan would hide the time going back from 2.0 to 1.0
+    (lambda _: (tsv("2.0 admit attack 1 1 75.0", "nan block regular 1 1 75.0",
+                    "1.0 expire attack 0 1 75.0"), 2), "time 'nan' is not a number"),
+    (lambda _: (tsv("0.5 admit attack 1.0 128 75.0"), 1), "occupancy '1.0' is not an integer"),
+    (lambda _: (tsv("0.5 admit attack 1 128.0 75.0"), 1), "m '128.0' is not an integer"),
+    (lambda _: (tsv("0.5 admit attack 1 128 abc"), 1), "h 'abc' is not a number"),
+    # a departure first, made up by a later admission, would end at 0
+    (lambda _: (tsv("0.5 expire attack -1 128 75.0", "1.0 admit attack 0 128 75.0"), 1),
+     "a departure with no resident"),
+    # the first line's instant is the replay's start, -inf
+    (lambda _: (tsv("-inf expire attack -1 128 75.0"), 1), "a departure with no resident"),
 ], ids=["block-to-admit", "admit-to-block", "admit-deleted", "time-decreases", "cut",
         "inverted-tie", "second-zero-lifetime", "h-without-params", "m-without-params",
-        "m-change-evicts"])
+        "m-change-evicts", "unknown-kind", "unknown-class", "three-columns", "blank-line",
+        "time-not-a-number", "params-without-h", "time-nan", "occupancy-not-an-integer",
+        "m-not-an-integer", "h-not-a-number", "departure-first", "departure-first-at-minus-inf"])
 def test_replay_rejects_a_corrupted_trace_naming_its_line_and_rule(corrupt, rule):
     # a static k = 2 run fills its 128 slots, so it both admits and blocks
     buf = io.StringIO()
@@ -669,6 +680,16 @@ def test_replay_rejects_a_corrupted_trace_naming_its_line_and_rule(corrupt, rule
     text, number = corrupt(buf.getvalue().splitlines(keepends=True))
     with pytest.raises(ValueError, match=f"^event trace line {number}: {rule}$"):
         replay_trace(text)
+
+
+def test_a_trace_with_inf_times_replays():
+    # a timeout past the float range is inf, so the drain writes an inf time
+    config = cfg(master_seed=1, hold_mode="exponential", total_requests=1000, window_size=100,
+                 initial_params=DefenseParams(1.7976931348623157e308, 128))
+    buf = io.StringIO()
+    report = run_simulation(config, event_trace=buf)
+    assert sum(line.startswith("inf\t") for line in buf.getvalue().splitlines()) == 50
+    assert replay_trace(buf.getvalue()) == report.totals
 
 
 def test_an_eviction_and_a_zero_lifetime_follow_an_arrival_at_its_instant():

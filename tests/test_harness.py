@@ -34,12 +34,19 @@ def cfg(**kw):
 
 def test_window_csv_has_one_row_per_window(tmp_path):
     out = tmp_path / "win.csv"
-    run_single(cfg(), out_path=str(out), quiet=True)
+    report, _ = run_single(cfg(), out_path=str(out), quiet=True)
     rows = list(csv.DictReader(out.read_text().splitlines()))
     assert len(rows) == 4
-    assert list(rows[0]) == list(WINDOW_COLUMNS)
+    # the interface's column order, stated here apart from WindowMetrics
+    assert list(rows[0]) == list(WINDOW_COLUMNS) == [
+        "window_index", "k", "controller", "h", "m", "arrivals_regular", "arrivals_attack",
+        "blocked_regular", "blocked_attack", "completed", "legit_expired",
+        "Ploss", "Pr", "Pa", "J"]
     assert rows[0]["controller"] == "static"
     assert float(rows[0]["h"]) == 75.0
+    for row, window in zip(rows, report.windows, strict=True):
+        for name in WINDOW_COLUMNS[5:]:  # each column named after a WindowMetrics field
+            assert row[name] == str(getattr(window, name))
 
 
 def _written(config: SimConfig, k) -> tuple[str, str, str, str]:
@@ -221,6 +228,30 @@ def test_sweep_rejects_a_bad_worker_count(workers, monkeypatch):
     spec = SweepSpec(base_config=cfg(), k_values=(0.5,), seeds=(1,))
     with pytest.raises(ValueError, match=f"^workers must be at least 1, not {workers}$"):
         run_sweep(spec, workers=workers)
+
+
+def test_an_explicit_worker_count_is_capped_at_the_cells(monkeypatch):
+    # a pool may start all its workers at once: two cells never start more than two
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    spec = SweepSpec(base_config=cfg(), k_values=(0.5,), seeds=(1,),
+                     controllers=("static", "la"))
+    assert len(list(csv.DictReader(io.StringIO(run_sweep(spec, workers=64))))) == 2
+    assert started == [2]
 
 
 def test_default_workers_follow_the_cpu_affinity(monkeypatch):

@@ -7,11 +7,9 @@ from synsim.metrics import cumulative_metrics, finalize_window, objective
 
 
 def test_no_attack_floor_case():
-    wm = finalize_window(arrivals_regular=500, arrivals_attack=0,
-                         blocked_regular=0, blocked_attack=0,
-                         completed=490, legit_expired=0,
-                         norm_integral_regular=0.05 * 2.0,
-                         norm_integral_attack=0.0,
+    # arrivals, blocks (regular, attack), completions and legit expiries
+    wm = finalize_window(counts=(500, 0, 0, 0, 490, 0),
+                         integrals=(0.05 * 2.0, 0.0),
                          duration=2.0)
     assert wm.Ploss == 0.0
     assert wm.Pr == pytest.approx(0.05)
@@ -20,13 +18,13 @@ def test_no_attack_floor_case():
 
 
 def test_half_blocked_ratio():
-    wm = finalize_window(250, 250, 125, 125, 100, 0, 0.2, 0.2, 1.0)
+    wm = finalize_window((250, 250, 125, 125, 100, 0), (0.2, 0.2), 1.0)
     assert wm.Ploss == 0.5
 
 
 def test_empty_window_is_an_error():
     with pytest.raises(ValueError, match="empty window"):
-        finalize_window(1, 0, 0, 0, 0, 0, 0.0, 0.0, 0.0)
+        finalize_window((1, 0, 0, 0, 0, 0), (0.0, 0.0), 0.0)
 
 
 def test_objective_direct_substitution():
@@ -51,15 +49,15 @@ def test_objective_monotonicity(pr, pa, ploss, bump):
 
 
 def test_scale_free_in_counts():
-    a = finalize_window(300, 200, 30, 20, 100, 5, 0.1, 0.3, 2.0)
-    b = finalize_window(600, 400, 60, 40, 200, 10, 0.1, 0.3, 2.0)
+    a = finalize_window((300, 200, 30, 20, 100, 5), (0.1, 0.3), 2.0)
+    b = finalize_window((600, 400, 60, 40, 200, 10), (0.1, 0.3), 2.0)
     assert a.Ploss == b.Ploss
     assert a.J == b.J
 
 
 def test_cumulative_is_weighted_average():
-    w1 = finalize_window(100, 100, 50, 0, 10, 0, 0.2, 0.4, 1.0)
-    w2 = finalize_window(300, 100, 0, 50, 30, 0, 0.9, 0.3, 3.0)
+    w1 = finalize_window((100, 100, 50, 0, 10, 0), (0.2, 0.4), 1.0)
+    w2 = finalize_window((300, 100, 0, 50, 30, 0), (0.9, 0.3), 3.0)
     c = cumulative_metrics([w1, w2])
     assert c.Ploss == pytest.approx((50 + 50) / 600)
     # duration-weighted Pr/Pa reduce to summed integrals over total duration
