@@ -32,8 +32,9 @@ different controllers therefore give every arrival the same lifetimes, so a
 static and an adaptive cell differ only by (h, m).
 
 Admission: the slot index.  Whether an arrival at t is admitted depends
-only on how many residents are still there at t.  step runs a window: h is
-constant within it, so it first computes each arrival's departure time,
+only on how many residents are still there at t.  step runs a window from
+its records alone, under the (h, m) and from the clock the state holds: h
+is constant within it, so it first computes each arrival's departure time,
 were it admitted, for the whole window in numpy (_schedule).  It then
 indexes the slots from the records: heap, a min-heap of the latest m
 resident departures (with no resident, one never-used slot, free from 0.0),
@@ -235,14 +236,15 @@ class BacklogState:
         records[HOLD_UNIT] = units[:, 1].ravel() if self.exponential_hold else 1.0  # 1.0 * h == h
         return records
 
-    def step(self, offered: np.ndarray, times: list[float]) -> tuple[np.ndarray, np.ndarray]:
-        """Run one window (see the module doc): offered are its records, which
-        it schedules in place, and times their arrival times.  Returns the
+    def step(self, offered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Run one window (see the module doc) from its records, which it
+        schedules in place; the clock moves to its last arrival.  Returns the
         admission mask and the records the settle took out, in admission order."""
         _schedule(offered, self.params.h)
         m = self.params.m
         self.heap = np.sort(self.records[DEP])[-m:].tolist() or [0.0]  # sorted, so a heap
         self.unused = m - len(self.heap)
+        times = offered[ADMIT].tolist()
         # True admitted, None (a block) False
         admitted = np.fromiter(map(self.admit_or_block, offered[DEP].tolist(), times), bool,
                                len(times))
@@ -371,16 +373,16 @@ class _TailCache(dict):
 _TAILS = _TailCache()
 
 
-def _trace_lines(suffix: str, *settle) -> str:
-    """The lines of trace_events(*settle), each ending in suffix.
+def _trace_lines(params: DefenseParams, *settle) -> str:
+    """The lines of trace_events(*settle), each ending in params' m and h columns.
 
     A line is three pieces, joined in one str.join: the repr of its time (a
-    float's repr is its str), its tail from _TAILS and suffix.  An occupancy
-    is at most the largest m in force, so on the paper's grid (m <= 1024) a
-    run has a few thousand distinct tails and almost every lookup hits.
+    float's repr is its str), its tail from _TAILS and the m and h columns.
+    An occupancy is at most the largest m in force, so on the paper's grid
+    (m <= 1024) a run has a few thousand distinct tails and almost every lookup hits.
     """
     times, codes, after = trace_events(*settle)
-    pieces = [suffix] * (3 * len(times))  # time, tail, suffix of each line
+    pieces = [f"\t{params.m}\t{params.h}\n"] * (3 * len(times))  # time, tail, m and h
     pieces[::3] = map(repr, times.tolist())
     pieces[1::3] = map(_TAILS.__getitem__, (after << 3 | codes).tolist())
     return "".join(pieces)
@@ -496,52 +498,39 @@ def run_simulation(config: SimConfig, controller=None, seed: int | None = None,
     arrivals = _ExpStream(rng_time, 1.0 / traffic.lambda1 / (1.0 + traffic.k))
     attack_share = traffic.k / (1.0 + traffic.k)
 
-    params = controller.initial_params(rng_la)
-    state = BacklogState(params, config.hold_mode, traffic.mu, rng_life)
-
-    suffix = f"\t{params.m}\t{params.h}\n"  # the m and h columns
-
+    state = BacklogState(controller.initial_params(rng_la), config.hold_mode, traffic.mu,
+                         rng_life)
     wsize = config.window_size
     n_windows = config.total_requests // wsize
-    windows: list[WindowMetrics] = []
-    trajectory = [params]
-    counts_start, t_start = state.window_counters(), 0.0
-
     per_block = max(1, _SAMPLE_BLOCK // wsize)  # the windows sampled at a time
+    windows: list[WindowMetrics] = []
+    trajectory = [state.params]
 
-    for window in range(n_windows):
-        start = window % per_block * wsize
-        if not start:  # sample the next block of windows
-            n = min(per_block, n_windows - window) * wsize
-            classes = (rng_class.random(n) < attack_share).view(np.int8)
-            block = state.offered(arrivals.take(n), classes, n // wsize)
-            block_times = block[ADMIT].tolist()
-        offered = block[:, start:start + wsize]  # a view: step schedules it in place
-        times = block_times[start:start + wsize]
-        admitted, departed = state.step(offered, times)
-        t_last = times[-1]
-        if event_trace:
-            event_trace.write(_trace_lines(suffix, departed, sum(state.occupancy),
-                                           offered, admitted))
-
-        counts_end = state.window_counters()
-        wm = finalize_window([e - s for e, s in zip(counts_end, counts_start)],
-                             state.integral, t_last - t_start)
-        windows.append(wm)
-        counts_start, t_start = counts_end, t_last
-        new_params = controller.on_window_end(wm, rng_la)
-        if window + 1 < n_windows:  # no window is left to act on the last answer
-            state.apply_defense_params(new_params, t_last)
-            if new_params != params and event_trace:
-                suffix = f"\t{new_params.m}\t{new_params.h}\n"
-                event_trace.write(f"{t_last}\tparams\t-\t{sum(state.occupancy)}{suffix}")
-            params = new_params
-            trajectory.append(params)
+    for first in range(0, n_windows, per_block):  # sample the next block of windows
+        count = min(per_block, n_windows - first)
+        classes = (rng_class.random(count * wsize) < attack_share).view(np.int8)
+        block = state.offered(arrivals.take(count * wsize), classes, count)
+        for offered in np.hsplit(block, count):  # views: step schedules them in place
+            counts_start, t_start = state.window_counters(), state.clock
+            admitted, departed = state.step(offered)
+            if event_trace:
+                event_trace.write(_trace_lines(state.params, departed, sum(state.occupancy),
+                                               offered, admitted))
+            wm = finalize_window([e - s for e, s in zip(state.window_counters(), counts_start)],
+                                 state.integral, state.clock - t_start)
+            windows.append(wm)
+            new_params = controller.on_window_end(wm, rng_la)
+            if len(windows) < n_windows:  # no window is left to act on the last answer
+                if new_params != state.params and event_trace:
+                    event_trace.write(f"{state.clock}\tparams\t-\t{sum(state.occupancy)}"
+                                      f"\t{new_params.m}\t{new_params.h}\n")
+                state.apply_defense_params(new_params, state.clock)
+                trajectory.append(new_params)
 
     # drain all residents after the last arrival
     departed = state.advance_to(_INF)
     if event_trace:
-        event_trace.write(_trace_lines(suffix, departed, 0))
+        event_trace.write(_trace_lines(state.params, departed, 0))
 
     totals = _totals(state.arrivals, state.admitted, state.completed, state.expired)
     _audit(totals)

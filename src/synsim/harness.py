@@ -59,6 +59,11 @@ def run_single(config: SimConfig, out_path: str | None = None,
                la_trace_path: str | None = None,
                event_trace_path: str | None = None, quiet: bool = False):
     """Run one simulation; write the window CSV and optional traces."""
+    named = {}  # each output's real path: the first parameter naming it
+    for name, path in (("out_path", out_path), ("la_trace_path", la_trace_path),
+                       ("event_trace_path", event_trace_path)):
+        if path and (first := named.setdefault(os.path.realpath(path), name)) != name:
+            raise ValueError(f"{name} is the same file as {first}")
     controller = make_controller(config)
     if la_trace_path and not isinstance(controller, LaController):
         raise ValueError("la_trace_path requires the la controller")
@@ -273,7 +278,8 @@ def _k_list(text: str) -> tuple[float, ...]:
 
 
 # the flag behind each field or parameter a library error can start with
-_FLAGS = {"master_seed": "--seed", "la_trace_path": "--la-trace", "k": "--k", "k_values": "--k",
+_FLAGS = {"master_seed": "--seed", "la_trace_path": "--la-trace",
+          "event_trace_path": "--event-trace", "k": "--k", "k_values": "--k",
           "controller_kind": "--controllers", "controllers": "--controllers",
           "seeds": "--seeds", "workers": "--workers"}
 

@@ -27,13 +27,15 @@ def erlang_b(m: int, offered_load: float) -> float:
     """Blocking probability of an M/M/m/m loss system.
 
     Recursion: B(0) = 1, B(n) = a*B(n-1) / (n + a*B(n-1)), stopped once B
-    underflows to 0.0, where it stays.  An infinite load blocks everything.
+    underflows to 0.0, where it stays.  A load a with a + m == a in float,
+    inf included, has n + a == a for every n <= m (rounding is monotone), so
+    every step gives a / a = 1.0 and it returns 1.0 at once.
     """
     if m < 0:
         raise ValueError("m must be non-negative")
     if offered_load < 0:
         raise ValueError("offered load must be non-negative")
-    if offered_load == math.inf:
+    if offered_load + m == offered_load:
         return 1.0
     b = 1.0
     for n in range(1, m + 1):

@@ -29,7 +29,7 @@ def arrive(state, arrivals):
     times = np.array([t for _, t in arrivals])
     classes = np.array([cls for cls, _ in arrivals], np.int8)
     offered = state.offered(times, classes, 1)
-    admitted, departed = state.step(offered, times.tolist())
+    admitted, departed = state.step(offered)
     return admitted, trace_events(departed, sum(state.occupancy), offered, admitted)
 
 
@@ -192,7 +192,7 @@ def test_drain_settles_every_resident():
     assert state.completed[REG] + state.expired[REG] == 1
     assert state.expired[ATT] == 2
     # a drain of no residents writes no trace lines
-    assert engine._trace_lines("\t8\t10.0\n", state.advance_to(np.inf), 0) == ""
+    assert engine._trace_lines(DefenseParams(10.0, 8), state.advance_to(np.inf), 0) == ""
 
 
 def reference_loop(windows, params, hold_mode, mu, seed):
@@ -330,7 +330,7 @@ def test_states_of_one_seed_give_every_arrival_the_same_lifetimes():
         times = np.sort(rng.uniform(window, window + 1, 300))
         classes = rng.integers(0, 2, 300).astype(np.int8)
         a, b = (state.offered(times, classes, 1) for state in (small, large))
-        (a_admitted, _), (b_admitted, _) = (state.step(records, times.tolist())
+        (a_admitted, _), (b_admitted, _) = (state.step(records)
                                             for state, records in ((small, a), (large, b)))
         assert (a_admitted != b_admitted).any()
         for row in (SERVICE, HOLD_UNIT):
@@ -804,10 +804,11 @@ def test_no_params_change_after_the_last_window():
     assert {(int(row[4]), float(row[5])) for row in drain} == {(last.m, last.h)}
 
 
-def f_string_trace_lines(suffix, *settle):
+def f_string_trace_lines(params, *settle):
     """The per-line f-string formatter the tail cache replaced: the reference."""
     events = (x.tolist() for x in trace_events(*settle))
-    return "".join([f"{t!r}\t{EVENT_LABELS[code]}\t{n}{suffix}" for t, code, n in zip(*events)])
+    return "".join([f"{t!r}\t{EVENT_LABELS[code]}\t{n}\t{params.m}\t{params.h}\n"
+                    for t, code, n in zip(*events)])
 
 
 # no block and almost no departure (mu = 1e-6): the occupancy climbs to about

@@ -5,17 +5,19 @@ import math
 import os
 import re
 import shlex
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from synsim import harness, oracle
+from synsim import engine, harness, oracle
 from synsim.controller import LaController
 from synsim.domain import (DefenseParams, SimConfig, TrafficModel, config_from_dict,
                            validate_config)
-from synsim.engine import run_simulation
+from synsim.engine import replay_trace, run_simulation
 from synsim.harness import (DEFAULT_K_VALUES, LA_TRACE_COLUMNS, SWEEP_COLUMNS, WINDOW_COLUMNS,
                             SweepSpec, la_trace_csv, main, run_single, run_sweep, run_validate,
                             window_csv)
@@ -130,6 +132,15 @@ def test_la_trace_rejected_for_static(tmp_path):
         run_single(cfg(), out_path=str(paths["w.csv"]), la_trace_path=str(paths["la.csv"]),
                    event_trace_path=str(paths["ev.tsv"]), quiet=True)
     assert not any(path.exists() for path in paths.values())
+
+
+def test_two_outputs_to_one_file_are_rejected(tmp_path):
+    # checked before the run, by real path: a symlink to the window CSV is that file
+    (tmp_path / "link.csv").symlink_to(tmp_path / "w.csv")
+    with pytest.raises(ValueError, match="^event_trace_path is the same file as out_path$"):
+        run_single(cfg(), out_path=str(tmp_path / "w.csv"),
+                   event_trace_path=str(tmp_path / "link.csv"), quiet=True)
+    assert os.listdir(tmp_path) == ["link.csv"]
 
 
 def test_sweep_no_attack_column_is_zero():
@@ -359,6 +370,13 @@ def test_cli_sweep_takes_no_trace_flags(tmp_path, capsys):
     (["run"], "need --config or --seed"),
     # an error in a loaded file names --config, whichever field it names
     (["sweep", "--config", "neg_k.json"], "argument --config: k must be non-negative"),
+    # two outputs to one file: the later flag is named
+    (["run", "--seed", "1", "--out", "x.csv", "--event-trace", "x.csv"],
+     "argument --event-trace: event_trace_path is the same file as out_path"),
+    (["run", "--seed", "1", "--out", "x.csv", "--la-trace", "./x.csv"],
+     "argument --la-trace: la_trace_path is the same file as out_path"),
+    (["run", "--seed", "1", "--la-trace", "x.csv", "--event-trace", "x.csv"],
+     "argument --event-trace: event_trace_path is the same file as la_trace_path"),
 ])
 def test_cli_input_errors_are_usage_errors(argv, message, tmp_path, monkeypatch, capsys):
     # exit status 2 and one error line naming the flag, before any simulation runs
@@ -447,6 +465,47 @@ def test_cli_validate_exit_status(monkeypatch, capsys):
         assert len(lines) == len(ORACLE_CASES) + 2  # sim and trace checks
         assert all(re.fullmatch(r"(PASS|FAIL)  .* \[\d+\.\d{3} s\]", line) for line in lines)
         assert rc == status == (0 if all(line.startswith("PASS") for line in lines) else 1)
+
+
+def test_cli_validate_fails_a_trace_that_does_not_replay(monkeypatch, capsys):
+    # short oracle runs that pass; each traced settle writes its first admit as a block
+    monkeypatch.setattr(oracle, "ORACLE_CASES", [
+        replace(case, tol=1.0, config=replace(case.config, total_requests=1000))
+        for case in ORACLE_CASES])
+    trace_lines = engine._trace_lines
+    monkeypatch.setattr(engine, "_trace_lines",
+                        lambda *args: trace_lines(*args).replace("\tadmit\t", "\tblock\t", 1))
+    assert main(["validate"]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines()
+              if not line.startswith("PASS")]
+    assert len(failed) == 1
+    assert failed[0].startswith("FAIL  event trace replays (occupancy, capacity, order): "
+                                "observed event trace line ")
+
+
+def test_python_m_synsim_runs_the_cli(tmp_path):
+    # the installed entry point's module: a run writes the files the library
+    # writes, and a usage error exits with status 2
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
+        str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")))))
+
+    def synsim(*argv):
+        return subprocess.run([sys.executable, "-m", "synsim", *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True)
+
+    result = synsim("run", "--seed", "1", "--out", "w.csv", "--la-trace", "la.csv",
+                    "--event-trace", "ev.tsv")
+    assert result.returncode == 0, result.stderr
+    assert sorted(os.listdir(tmp_path)) == ["ev.tsv", "la.csv", "w.csv"]
+    config, buf = SimConfig(master_seed=1), io.StringIO()
+    report = run_simulation(config, event_trace=buf)
+    trace = (tmp_path / "ev.tsv").read_text(encoding="utf-8")
+    assert trace == buf.getvalue() and replay_trace(trace) == report.totals
+    assert (tmp_path / "w.csv").read_text(encoding="utf-8") == window_csv(config, report)
+    result = synsim("run", "--seed", "1", "--out", "x.csv", "--event-trace", "x.csv")
+    assert result.returncode == 2
+    assert "error: argument --event-trace: event_trace_path" in result.stderr
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_cli_run_requires_config_or_seed():

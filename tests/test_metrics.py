@@ -25,6 +25,8 @@ def test_half_blocked_ratio():
 def test_empty_window_is_an_error():
     with pytest.raises(ValueError, match="empty window"):
         finalize_window((1, 0, 0, 0, 0, 0), (0.0, 0.0), 0.0)
+    with pytest.raises(ValueError, match="no windows to aggregate"):
+        cumulative_metrics([])
 
 
 def test_objective_direct_substitution():

@@ -64,6 +64,20 @@ def test_huge_capacity_returns_at_once():
     assert erlang_b(10**9, 1500.0) == 0.0
 
 
+def test_huge_capacity_under_a_dwarfing_load_returns_at_once():
+    # 1e300 + 10**9 == 1e300 in float, so every step is 1.0: no 10**9 steps
+    assert erlang_b(10**9, 1e300) == 1.0
+    sol = steady_state(static_config("deterministic", 1e300, 100.0, m=10**9))
+    assert (sol.Ploss, sol.Pr, sol.Pa) == (1.0, 1e-302, 1.0)  # Pr = a1 / a
+
+
+@pytest.mark.parametrize("a", [2.0**63, 2.0**40])
+def test_a_load_that_dwarfs_m_equals_the_full_recursion(a):
+    # 2**63 + 1000 == 2**63 in float, so that load returns at once; 2**40's does not
+    assert (a + 1000 == a) == (a == 2.0**63)
+    assert erlang_b(1000, a) == full_recursion(1000, a)
+
+
 def test_infinite_load_blocks_everything():
     assert erlang_b(0, math.inf) == erlang_b(7, math.inf) == 1.0
 
