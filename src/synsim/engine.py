@@ -24,36 +24,38 @@ windows, so every arrival lands in one.
 
 One master seed derives four independent RNG streams (arrival times, class
 marks, entry lifetimes, action selection), so swapping the controller never
-perturbs the traffic sample path.  Lifetimes are drawn by
-arrival, not by admission: every arrival of a window gets a service unit and
-a hold unit from its window's (2, n) slice of one (windows, 2, n) draw per
-block of windows, whatever its class or outcome.  Two runs of one seed with
-different controllers therefore give every arrival the same lifetimes, so a
-static and an adaptive cell differ only by (h, m).
+perturbs the traffic sample path.  Lifetimes are drawn by arrival, not by
+admission: run_simulation draws a block's lifetime units beside its times
+and class marks, one (windows, 2, n) draw, and each arrival of a window
+takes a service unit and a hold unit from its window's (2, n) slice,
+whatever its class or outcome; _records, which draws nothing, makes the
+block's records.  The backlog holds no RNG, so two runs of one seed with
+different controllers give every arrival the same lifetimes, and a static
+and an adaptive cell differ only by (h, m).
 
 Admission: the slot index.  Whether an arrival at t is admitted depends
-only on how many residents are still there at t.  step runs a window from
-its records alone, under the (h, m) and from the clock the state holds: h
-is constant within it, so it first computes each arrival's departure time,
-were it admitted, for the whole window in numpy (_schedule).  It then
-indexes the slots from the records: heap, a min-heap of the latest m
-resident departures (with no resident, one never-used slot, free from 0.0),
-and unused, the m - len(heap) other slots.  An arrival at t reuses heap[0]'s
-slot if that entry has left by t (heapreplace), else takes an unused slot
-(heappush), else is blocked.  Arrivals come in time order, so an entry <= t
-stays free, and this is the rule "take out every departure due by t, then
-admit iff occupancy < m", tie included.  After its admissions the heap holds
-at most the window's starting residents plus its admissions, whatever m is.
-step makes one admit_or_block call per arrival, whose answers form the
-window's admission mask, which the settle and the event trace share, and
-then settles the window.
+only on how many residents are still there at t.  step does all of a
+window's admission, from its records alone, under the (h, m) and from the
+clock the state holds: h is constant within it, so it first computes each
+arrival's departure time, were it admitted, for the whole window in numpy
+(_schedule).  It then indexes the slots from the records: heap, a min-heap
+of the latest m resident departures (with no resident, one never-used slot,
+free from 0.0), and unused, the m - len(heap) other slots.  An arrival at t
+reuses heap[0]'s slot if that entry has left by t (heapreplace), else takes
+an unused slot (heappush), else is blocked.  Arrivals come in time order,
+so an entry <= t stays free, and this is the rule "take out every departure
+due by t, then admit iff occupancy < m", tie included.  After its
+admissions the heap holds at most the window's starting residents plus its
+admissions, whatever m is.  step makes one admit_or_block call per arrival,
+whose answers form the window's admission mask, which the event trace reads
+too; it keeps the admitted records as residents, counts the window's
+arrivals and admissions, and then settles the window.
 
-Departures: the settle.  Once per window, advance_to keeps the admitted
-columns of the offered records as new residents and takes out the
-departures due by the window's last arrival.  A class's occupancy integral
-over the window [clock, until] is the sum, over its records resident in it,
-of min(dep, until) - max(admit, clock), so no event order is needed: the
-settle takes one np.bincount of those spans / m over the records, in
+Departures: the settle.  advance_to only settles: once per window, it
+takes out the departures due by the window's last arrival.  A class's
+occupancy integral over the window [clock, until] is the sum, over its
+records resident in it, of min(dep, until) - max(admit, clock), so no event
+order is needed: the settle takes one np.bincount of those spans / m over the records, in
 admission order, and keeps it as the window's integral.  (h, m) changes
 only between windows, so m is constant within a settle.  The drain after
 the last arrival is the same settle with until = inf.  Columns are kept or
@@ -70,8 +72,8 @@ Bookkeeping keeps one representation per concept.  Every per-class count
 indexed by the RequestClass int; blocks are arrivals less admissions, and
 each resident is one column of a records array, so the occupancy is a count
 of the records.  The run audit compares two tallies kept apart after the
-final drain: admissions from admit_or_block's answers and departures from
-depart, so a record the drain left behind fails it.
+final drain: admissions from admit_or_block's answers, counted by step, and
+departures from depart, so a record the drain left behind fails it.
 """
 
 from __future__ import annotations
@@ -146,6 +148,24 @@ def _schedule(records: np.ndarray, h: float) -> None:
     records[DEP] = np.minimum(completion, timeout)
 
 
+def _records(times: np.ndarray, classes: np.ndarray, units: np.ndarray, mu: float,
+             exponential_hold: bool) -> np.ndarray:
+    """Records of a block of windows' arrivals, not yet scheduled.
+
+    units is the block's (windows, 2, n) lifetime draw: arrival i of window w
+    takes service unit units[w, 0, i] and hold unit units[w, 1, i], whatever
+    its class or outcome.  An attack entry's service is inf, and with
+    exponential_hold off the hold unit is 1.
+    """
+    records = np.empty((6, len(times)))
+    records[ADMIT] = times
+    records[CLS] = classes
+    with np.errstate(over="ignore"):  # a service past the largest float is inf: never
+        records[SERVICE] = np.where(classes == 0, units[:, 0].ravel() / mu, _INF)
+    records[HOLD_UNIT] = units[:, 1].ravel() if exponential_hold else 1.0  # 1.0 * h == h
+    return records
+
+
 @dataclass
 class EvictionSummary:
     regular: int = 0
@@ -186,14 +206,10 @@ class SimReport:
 
 
 class BacklogState:
-    """Mutable backlog: resident records, (h, m), counts, the window's slot index."""
+    """Mutable backlog: (h, m), the clock, resident records, counts, the window's slot index."""
 
-    def __init__(self, params: DefenseParams, hold_mode: str, mu: float,
-                 lifetime_rng: np.random.Generator):
+    def __init__(self, params: DefenseParams):
         self.params = params
-        self.exponential_hold = hold_mode == "exponential"
-        self.mu = mu
-        self.lifetime_rng = lifetime_rng
         self.clock = 0.0
         self.records = np.empty((6, 0))  # a column per resident, in admission order
         # [regular, attack] pairs
@@ -219,27 +235,10 @@ class BacklogState:
 
     # -- admissions ------------------------------------------------------
 
-    def offered(self, times: np.ndarray, classes: np.ndarray, windows: int) -> np.ndarray:
-        """Records of the arrivals of `windows` equal windows, not yet scheduled.
-
-        Every arrival gets a service unit and a hold unit whatever its class,
-        hold mode or outcome: one (windows, 2, n) draw, the same stream as a
-        (2, n) draw per window.  An attack entry's service is inf, and in
-        deterministic mode the hold unit is 1.
-        """
-        units = self.lifetime_rng.standard_exponential((windows, 2, len(times) // windows))
-        records = np.empty((6, len(times)))
-        records[ADMIT] = times
-        records[CLS] = classes
-        with np.errstate(over="ignore"):  # a service past the largest float is inf: never
-            records[SERVICE] = np.where(classes == 0, units[:, 0].ravel() / self.mu, _INF)
-        records[HOLD_UNIT] = units[:, 1].ravel() if self.exponential_hold else 1.0  # 1.0 * h == h
-        return records
-
     def step(self, offered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Run one window (see the module doc) from its records, which it
-        schedules in place; the clock moves to its last arrival.  Returns the
-        admission mask and the records the settle took out, in admission order."""
+        """Run one window from its records, scheduled in place (see the module
+        doc): admit or block, keep and count its arrivals, then settle to the
+        last.  Returns the admission mask and the settle's departures, in admission order."""
         _schedule(offered, self.params.h)
         m = self.params.m
         self.heap = np.sort(self.records[DEP])[-m:].tolist() or [0.0]  # sorted, so a heap
@@ -248,13 +247,19 @@ class BacklogState:
         # True admitted, None (a block) False
         admitted = np.fromiter(map(self.admit_or_block, offered[DEP].tolist(), times), bool,
                                len(times))
-        return admitted, self.advance_to(times[-1], offered, admitted)
+        kept = offered.compress(admitted, axis=1)  # the new residents
+        arrivals, admits = _per_class(offered[CLS]), _per_class(kept[CLS])
+        for cls in (0, 1):
+            self.arrivals[cls] += arrivals[cls]
+            self.admitted[cls] += admits[cls]
+        self.records = np.concatenate((self.records, kept), axis=1)
+        return admitted, self.advance_to(times[-1])
 
     def admit_or_block(self, dep: float, now: float) -> bool | None:
         """Admit iff a slot is free at now: True if admitted, None if blocked.
 
-        dep is the arrival's departure time from _schedule; the arrival is
-        counted and its entry recorded when its window settles.
+        dep is the arrival's departure time from _schedule; step counts the
+        arrival and records its entry once the window's answers are in.
         """
         heap = self.heap
         if heap[0] <= now:  # its entry has left by now: reuse the slot
@@ -286,23 +291,14 @@ class BacklogState:
 
     # -- time ------------------------------------------------------------
 
-    def advance_to(self, until: float, offered: np.ndarray = _NO_RECORDS,
-                   admitted: np.ndarray = _NO_ARRIVALS) -> np.ndarray:
-        """Settle the window whose last arrival is at until; until=inf drains.
+    def advance_to(self, until: float) -> np.ndarray:
+        """Settle the residents to until, the window's last arrival; until=inf drains.
 
-        offered (the window's records) and admitted (admit_or_block's
-        answers as a mask) are the window's arrivals.  Counts them, keeps the
-        admitted records as residents, sets integral to each class's
-        occupancy / m integral over [clock, until] and takes out the
-        departures due.  Returns the records taken out, in admission order.
+        Sets integral to each class's occupancy / m integral over
+        [clock, until], moves the clock to until and takes out the departures
+        due.  Returns the records taken out, in admission order.
         """
-        kept = offered.compress(admitted, axis=1)  # the new residents
-        arrivals, admits = _per_class(offered[CLS]), _per_class(kept[CLS])
-        for cls in (0, 1):
-            self.arrivals[cls] += arrivals[cls]
-            self.admitted[cls] += admits[cls]
-        records = np.concatenate((self.records, kept), axis=1)
-        self.records = records
+        records = self.records
         # each resident's time in [clock, until]
         span = np.minimum(records[DEP], until) - np.maximum(records[ADMIT], self.clock)
         self.integral = np.bincount(records[CLS].astype(np.intp), span / self.params.m,
@@ -335,7 +331,7 @@ def trace_events(departed: np.ndarray, occupancy: int, offered: np.ndarray = _NO
     """A settle's events in trace order: their times, their codes (2 * kind +
     class; kind 0-3 is admit, block, complete, expire) and the occupancy after
     each.  departed is what advance_to returned, occupancy the total after it,
-    and offered and admitted are advance_to's arguments.
+    and offered and admitted are step's argument and its admission mask.
 
     Events go in time order, and events of one instant by rank: departures
     0, arrivals 1, zero-lifetime departures (departure == admission) 2, so a
@@ -498,8 +494,7 @@ def run_simulation(config: SimConfig, controller=None, seed: int | None = None,
     arrivals = _ExpStream(rng_time, 1.0 / traffic.lambda1 / (1.0 + traffic.k))
     attack_share = traffic.k / (1.0 + traffic.k)
 
-    state = BacklogState(controller.initial_params(rng_la), config.hold_mode, traffic.mu,
-                         rng_life)
+    state = BacklogState(controller.initial_params(rng_la))
     wsize = config.window_size
     n_windows = config.total_requests // wsize
     per_block = max(1, _SAMPLE_BLOCK // wsize)  # the windows sampled at a time
@@ -509,7 +504,9 @@ def run_simulation(config: SimConfig, controller=None, seed: int | None = None,
     for first in range(0, n_windows, per_block):  # sample the next block of windows
         count = min(per_block, n_windows - first)
         classes = (rng_class.random(count * wsize) < attack_share).view(np.int8)
-        block = state.offered(arrivals.take(count * wsize), classes, count)
+        units = rng_life.standard_exponential((count, 2, wsize))
+        block = _records(arrivals.take(count * wsize), classes, units, traffic.mu,
+                         config.hold_mode == "exponential")
         for offered in np.hsplit(block, count):  # views: step schedules them in place
             counts_start, t_start = state.window_counters(), state.clock
             admitted, departed = state.step(offered)

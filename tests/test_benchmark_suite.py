@@ -19,5 +19,6 @@ def test_benchmark_suite_passes():
         filter(None, ("src", os.environ.get("PYTHONPATH")))))
     result = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "perfbench"],
-        cwd=ROOT, env=env, capture_output=True, text=True)
+        cwd=ROOT, env=env, capture_output=True, text=True,
+        timeout=600)  # a hang fails here, not at the CI job's own limit
     assert result.returncode == 0, result.stdout + result.stderr

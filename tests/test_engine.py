@@ -19,8 +19,23 @@ REG = RequestClass.REGULAR
 ATT = RequestClass.ATTACK
 
 
+class SampledState(BacklogState):
+    """A backlog with the lifetime stream run_simulation draws its arrivals'
+    units from: one (1, 2, n) draw per window, from the seed's own RNG."""
+
+    def __init__(self, params, hold_mode, mu, seed):
+        super().__init__(params)
+        self.lifetimes = np.random.default_rng(seed), mu, hold_mode == "exponential"
+
+    def offered(self, times, classes):
+        """The records of one window's arrivals, not yet scheduled."""
+        rng, mu, exponential_hold = self.lifetimes
+        units = rng.standard_exponential((1, 2, len(times)))
+        return engine._records(times, classes, units, mu, exponential_hold)
+
+
 def make_state(h=75.0, m=128, hold_mode="deterministic", mu=100.0, seed=0):
-    return BacklogState(DefenseParams(h, m), hold_mode, mu, np.random.default_rng(seed))
+    return SampledState(DefenseParams(h, m), hold_mode, mu, seed)
 
 
 def arrive(state, arrivals):
@@ -28,7 +43,7 @@ def arrive(state, arrivals):
     the admission mask and the settled events."""
     times = np.array([t for _, t in arrivals])
     classes = np.array([cls for cls, _ in arrivals], np.int8)
-    offered = state.offered(times, classes, 1)
+    offered = state.offered(times, classes)
     admitted, departed = state.step(offered)
     return admitted, trace_events(departed, sum(state.occupancy), offered, admitted)
 
@@ -321,28 +336,35 @@ def test_kernel_matches_the_per_event_reference_loop(hold_mode, seed):
     assert len(trace) > 3000 and sum(map(sum, evictions)) > 0
 
 
-def test_states_of_one_seed_give_every_arrival_the_same_lifetimes():
-    # lifetimes are drawn by arrival, so (h, m) and admission change none
-    small = make_state(h=0.5, m=1, hold_mode="exponential", mu=2.0, seed=4)
-    large = make_state(h=2.5, m=1024, hold_mode="exponential", mu=2.0, seed=4)
-    rng = np.random.default_rng(4)
-    for window in range(5):
-        times = np.sort(rng.uniform(window, window + 1, 300))
-        classes = rng.integers(0, 2, 300).astype(np.int8)
-        a, b = (state.offered(times, classes, 1) for state in (small, large))
-        (a_admitted, _), (b_admitted, _) = (state.step(records)
-                                            for state, records in ((small, a), (large, b)))
-        assert (a_admitted != b_admitted).any()
-        for row in (SERVICE, HOLD_UNIT):
-            assert a[row].tobytes() == b[row].tobytes()  # bit for bit
-    assert small.blocked[REG] > 0 and large.blocked == [0, 0]
+def test_states_of_one_seed_give_every_arrival_the_same_lifetimes(monkeypatch):
+    # lifetimes are drawn by arrival, so (h, m) and admission change none:
+    # a static and an LA run of one seed get the same records in every window
+    records, windows = engine._records, {}
+
+    def recorded(times, classes, units, mu, exponential_hold):
+        block = records(times, classes, units, mu, exponential_hold)
+        windows[kind] += np.hsplit(block[:HOLD_UNIT + 1].copy(), len(units))
+        return block
+
+    monkeypatch.setattr(engine, "_records", recorded)
+    reports = {}
+    for kind in ("static", "la"):
+        windows[kind] = []
+        reports[kind] = run_simulation(cfg(controller_kind=kind, hold_mode="exponential"))
+    assert len(windows["static"]) == len(windows["la"]) == 10
+    for a, b in zip(windows["static"], windows["la"]):
+        assert a.tobytes() == b.tobytes()  # times, classes, service and hold units, bit for bit
+    blocked = [[(w.blocked_regular, w.blocked_attack) for w in reports[kind].windows]
+               for kind in ("static", "la")]
+    assert blocked[0] != blocked[1]  # the outcomes differ
 
 
 def test_a_block_of_windows_draws_the_lifetimes_of_a_draw_per_window():
     rng = np.random.default_rng(5)
     times = np.sort(rng.uniform(0, 10, 3 * 400))
     classes = rng.integers(0, 2, 3 * 400).astype(np.int8)
-    block = make_state(hold_mode="exponential", mu=2.0, seed=4).offered(times, classes, 3)
+    block_units = np.random.default_rng(4).standard_exponential((3, 2, 400))
+    block = engine._records(times, classes, block_units, 2.0, True)
     draws = np.random.default_rng(4)
     units = np.concatenate([draws.standard_exponential((2, 400)) for _ in range(3)], axis=1)
     assert block[SERVICE].tobytes() == np.where(classes == 0, units[0] / 2.0, np.inf).tobytes()
@@ -377,13 +399,13 @@ def test_the_arrivals_follow_the_traffic_law(monkeypatch):
               "regular gap": (1 / lambda1, 6 / lambda1 / math.sqrt(n * (1 - share))),
               "attack gap": (1 / (k * lambda1), 6 / (k * lambda1) / math.sqrt(n * share))}
     seen = []
-    offered = BacklogState.offered
+    records = engine._records
 
-    def record(state, times, classes, windows):
+    def record(times, classes, *lifetimes):
         seen.append((times, classes))
-        return offered(state, times, classes, windows)
+        return records(times, classes, *lifetimes)
 
-    monkeypatch.setattr(BacklogState, "offered", record)
+    monkeypatch.setattr(engine, "_records", record)
     run_simulation(cfg(total_requests=n, window_size=1000,
                        traffic=TrafficModel(lambda1=lambda1, k=k, mu=100.0)))
     times = np.concatenate([t for t, _ in seen])
@@ -429,10 +451,10 @@ def test_slot_heap_is_bounded_by_the_run_arrivals(monkeypatch):
     # one entry per slot of the 10**7
     advance_to, sizes = BacklogState.advance_to, []
 
-    def settle(state, until, offered=np.empty((6, 0)), admitted=np.empty(0, bool)):
-        if len(admitted):  # the heap and records as the window's admissions left them
-            sizes.append((len(state.heap), state.records.shape[1] + np.count_nonzero(admitted)))
-        return advance_to(state, until, offered, admitted)
+    def settle(state, until):
+        if until < np.inf:  # the heap and records as the window's admissions left them
+            sizes.append((len(state.heap), state.records.shape[1]))
+        return advance_to(state, until)
 
     monkeypatch.setattr(BacklogState, "advance_to", settle)
     tracemalloc.start()
@@ -515,29 +537,15 @@ def test_attack_entries_never_complete():
     assert report.totals.completed[ATT] == 0
 
 
-def test_controller_does_not_perturb_traffic(monkeypatch):
-    # shared seed: both controllers see the same arrival sample path, and
-    # every arrival gets the same lifetimes whatever (h, m) and its outcome
-    offered = BacklogState.offered
-    lifetimes = {}
-
-    def recorded(state, times, classes, windows):
-        records = offered(state, times, classes, windows)
-        lifetimes[kind].append(records[[SERVICE, HOLD_UNIT]])
-        return records
-
-    monkeypatch.setattr(BacklogState, "offered", recorded)
-    reports = {}
-    for kind in ("static", "la"):
-        lifetimes[kind] = []
-        reports[kind] = run_simulation(cfg(controller_kind=kind, hold_mode="exponential"))
-    a, b = reports["static"], reports["la"]
+def test_controller_does_not_perturb_traffic():
+    # shared seed: both controllers see the same arrival sample path (the
+    # lifetimes each arrival gets are checked by the test of one seed's states)
+    a, b = (run_simulation(cfg(controller_kind=kind, hold_mode="exponential"))
+            for kind in ("static", "la"))
     # the windows end at the same arrivals
     assert [w.window_duration for w in a.windows] == [w.window_duration for w in b.windows]
-    assert [w.arrivals_regular for w in a.windows] == \
-           [w.arrivals_regular for w in b.windows]
-    a_units, b_units = (np.concatenate(lifetimes[kind], axis=1) for kind in ("static", "la"))
-    assert b_units.shape == (2, 5000) and a_units.tobytes() == b_units.tobytes()
+    assert [(w.arrivals_regular, w.arrivals_attack) for w in a.windows] == \
+           [(w.arrivals_regular, w.arrivals_attack) for w in b.windows]
     assert a.totals.blocked != b.totals.blocked  # the outcomes differ
 
 
