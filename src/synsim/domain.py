@@ -90,81 +90,55 @@ def _is_finite(value) -> bool:
         return False
 
 
-def _number(name: str, value, violations: list[str]) -> bool:
-    """True if value is a finite real number, else record why not."""
-    if _is_finite(value):
-        return True
-    violations.append(f"{name} must be a finite number")
-    return False
-
-
-def _integer(name: str, value, violations: list[str]) -> bool:
-    """True if value is an integer (bool excluded), else record why not."""
-    if _is_int(value):
-        return True
-    violations.append(f"{name} must be an integer")
-    return False
-
-
-def _instance(name: str, value, cls, violations: list[str]) -> bool:
-    """True if value is a cls, else record why not."""
-    if isinstance(value, cls):
-        return True
-    violations.append(f"{name} must be a {cls.__name__}")
-    return False
-
-
-def _choice(name: str, value, choices: tuple[str, ...], violations: list[str]) -> None:
-    """Record why not unless value is one of the strings in choices."""
-    if not (isinstance(value, str) and value in choices):  # no array's == reaches `in`
-        violations.append(f"{name} must be " + " or ".join(map(repr, choices)))
-
-
 def validate_config(config: SimConfig) -> list[str]:
     """Return every violated constraint (empty list means the config is ok).
 
     Total: never raises; every input maps to ok or a non-empty list.  Each
-    message names the field it is about.
+    message reads "<field> must <rule>": it starts with the field's name,
+    which the CLI maps to the flag behind it.
     """
     v: list[str] = []
-    if _integer("master_seed", config.master_seed, v) and config.master_seed < 0:
-        v.append("master_seed must be non-negative")
+
+    def need(ok, name: str, rule: str):
+        """ok, after recording "<name> must <rule>" unless it holds."""
+        if not ok:
+            v.append(f"{name} must {rule}")
+        return ok
+
+    seed, total, window = config.master_seed, config.total_requests, config.window_size
+    if need(_is_int(seed), "master_seed", "be an integer"):
+        need(seed >= 0, "master_seed", "be non-negative")
     t = config.traffic
-    if _instance("traffic", t, TrafficModel, v):
-        if _number("lambda1", t.lambda1, v):
-            if t.lambda1 <= 0:
-                v.append("lambda1 must be strictly positive")
-            elif (_is_int(config.total_requests)
-                  and config.total_requests >= 1e300 * float(t.lambda1)):
-                # a horizon near the largest float sends arrival times past it
-                v.append("lambda1 must exceed total_requests / 1e300")
-        if _number("k", t.k, v):
-            if t.k < 0:
-                v.append("k must be non-negative")
-            elif _is_finite(t.lambda1) and not math.isfinite(float(t.k) * float(t.lambda1)):
-                v.append("k must keep the attack rate k * lambda1 finite")
-        if _number("mu", t.mu, v) and t.mu <= 0:
-            v.append("mu must be strictly positive")
+    if need(isinstance(t, TrafficModel), "traffic", "be a TrafficModel"):
+        if (need(_is_finite(t.lambda1), "lambda1", "be a finite number")
+                and need(t.lambda1 > 0, "lambda1", "be strictly positive")):
+            # a horizon near the largest float sends arrival times past it
+            need(not _is_int(total) or total < 1e300 * float(t.lambda1),
+                 "lambda1", "exceed total_requests / 1e300")
+        if (need(_is_finite(t.k), "k", "be a finite number")
+                and need(t.k >= 0, "k", "be non-negative")):
+            need(not _is_finite(t.lambda1) or math.isfinite(float(t.k) * float(t.lambda1)),
+                 "k", "keep the attack rate k * lambda1 finite")
+        if need(_is_finite(t.mu), "mu", "be a finite number"):
+            need(t.mu > 0, "mu", "be strictly positive")
     p = config.initial_params
-    if _instance("initial_params", p, DefenseParams, v):
-        if _number("h", p.h, v) and p.h <= 0:
-            v.append("h must be strictly positive")
-        if _integer("m", p.m, v):
-            if p.m < 1:
-                v.append("m must be at least 1")
-            elif not _is_finite(p.m):  # the settle and the oracle divide by it as a float
-                v.append("m must be within the float range")
-    total_ok = _integer("total_requests", config.total_requests, v)
-    if _integer("window_size", config.window_size, v):
-        # as Python ints: numpy ints of two widths may not hold each other
-        window = int(config.window_size)
-        if window < 1:
-            v.append("window_size must be at least 1")
-        elif total_ok and (int(config.total_requests) < window
-                           or int(config.total_requests) % window):
-            v.append("total_requests must be a positive multiple of window_size")
-    _choice("controller_kind", config.controller_kind, ("static", "la"), v)
-    _choice("hold_mode", config.hold_mode, ("deterministic", "exponential"), v)
+    if need(isinstance(p, DefenseParams), "initial_params", "be a DefenseParams"):
+        if need(_is_finite(p.h), "h", "be a finite number"):
+            need(p.h > 0, "h", "be strictly positive")
+        if need(_is_int(p.m), "m", "be an integer") and need(p.m >= 1, "m", "be at least 1"):
+            # the settle and the oracle divide by it as a float
+            need(_is_finite(p.m), "m", "be within the float range")
+    total_ok = need(_is_int(total), "total_requests", "be an integer")
+    # as Python ints: numpy ints of two widths may not hold each other
+    if (need(_is_int(window), "window_size", "be an integer")
+            and need(int(window) >= 1, "window_size", "be at least 1") and total_ok):
+        need(int(total) >= int(window) and not int(total) % int(window),
+             "total_requests", "be a positive multiple of window_size")
+    for name, a, b in (("controller_kind", "static", "la"),
+                       ("hold_mode", "deterministic", "exponential")):
+        value = getattr(config, name)
+        need(isinstance(value, str) and value in (a, b),  # no array's == reaches `in`
+             name, f"be {a!r} or {b!r}")
     return v
 
 

@@ -278,6 +278,7 @@ def _k_list(text: str) -> tuple[float, ...]:
 
 
 # the flag behind each field or parameter a library error can start with
+# (validate_config's messages all read "<field> must <rule>")
 _FLAGS = {"master_seed": "--seed", "la_trace_path": "--la-trace",
           "event_trace_path": "--event-trace", "k": "--k", "k_values": "--k",
           "controller_kind": "--controllers", "controllers": "--controllers",

@@ -33,7 +33,7 @@ def erlang_b(m: int, offered_load: float) -> float:
     """
     if m < 0:
         raise ValueError("m must be non-negative")
-    if offered_load < 0:
+    if not offered_load >= 0:  # nan included
         raise ValueError("offered load must be non-negative")
     if offered_load + m == offered_load:
         return 1.0
@@ -63,9 +63,9 @@ def two_class_loss(m: int, lambda1: float, lambda2: float,
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    if rate1 <= 0 or rate2 <= 0:
+    if not rate1 > 0 or not rate2 > 0:  # nan included
         raise ValueError("departure rates must be positive")
-    if lambda1 < 0 or lambda2 < 0:
+    if not lambda1 >= 0 or not lambda2 >= 0:
         raise ValueError("arrival rates must be non-negative")
     return _loss(m, lambda1 / rate1, lambda2 / rate2)
 

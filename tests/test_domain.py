@@ -2,7 +2,7 @@ import io
 import json
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import partial
 from unittest import mock
 
@@ -331,3 +331,62 @@ def test_a_config_is_rejected_naming_a_field_or_gives_a_meaningful_run(f):
         assert 0.0 <= w.Ploss <= 1.0
         assert 0.0 <= w.Pr <= 1.0 and 0.0 <= w.Pa <= 1.0
         assert 0.0 < w.window_duration < INF
+
+
+# -- validate_config's exact messages ------------------------------------------
+
+def _unchecked(traffic=None, initial_params=None, **kw):
+    """A SimConfig of BASE's fields with kw's in place, built without validation.
+
+    traffic and initial_params may be dicts of the nested fields to replace.
+    """
+    config = object.__new__(SimConfig)
+    if isinstance(traffic, dict):
+        traffic = replace(BASE.traffic, **traffic)
+    if isinstance(initial_params, dict):
+        initial_params = replace(BASE.initial_params, **initial_params)
+    kw.update(traffic=BASE.traffic if traffic is None else traffic,
+              initial_params=BASE.initial_params if initial_params is None else initial_params)
+    for f in fields(SimConfig):
+        object.__setattr__(config, f.name, kw.get(f.name, getattr(BASE, f.name)))
+    return config
+
+
+# one row per rule, then one of several rules at once, which pins their order
+@pytest.mark.parametrize("kw, messages", [
+    (dict(master_seed=1.0), ["master_seed must be an integer"]),
+    (dict(master_seed=-1), ["master_seed must be non-negative"]),
+    (dict(traffic=(10.0, 1.0, 100.0)), ["traffic must be a TrafficModel"]),
+    (dict(traffic=dict(lambda1="10")), ["lambda1 must be a finite number"]),
+    (dict(traffic=dict(lambda1=0.0)), ["lambda1 must be strictly positive"]),
+    (dict(traffic=dict(lambda1=1e-298), total_requests=1000, window_size=500),
+     ["lambda1 must exceed total_requests / 1e300"]),
+    (dict(traffic=dict(k=NAN)), ["k must be a finite number"]),
+    (dict(traffic=dict(k=-0.5)), ["k must be non-negative"]),
+    (dict(traffic=dict(k=1e308)), ["k must keep the attack rate k * lambda1 finite"]),
+    (dict(traffic=dict(mu=INF)), ["mu must be a finite number"]),
+    (dict(traffic=dict(mu=-1.0)), ["mu must be strictly positive"]),
+    (dict(initial_params=[75.0, 128]), ["initial_params must be a DefenseParams"]),
+    (dict(initial_params=dict(h=True)), ["h must be a finite number"]),
+    (dict(initial_params=dict(h=0.0)), ["h must be strictly positive"]),
+    (dict(initial_params=dict(m=64.0)), ["m must be an integer"]),
+    (dict(initial_params=dict(m=0)), ["m must be at least 1"]),
+    (dict(initial_params=dict(m=10**309)), ["m must be within the float range"]),
+    (dict(total_requests=np.float64(1000)), ["total_requests must be an integer"]),
+    (dict(window_size="500"), ["window_size must be an integer"]),
+    (dict(window_size=-5), ["window_size must be at least 1"]),
+    (dict(total_requests=1200), ["total_requests must be a positive multiple of window_size"]),
+    (dict(controller_kind="LA"), ["controller_kind must be 'static' or 'la'"]),
+    (dict(hold_mode=np.array(["deterministic"])),
+     ["hold_mode must be 'deterministic' or 'exponential'"]),
+    (dict(master_seed=-3, traffic=dict(lambda1=-1.0, k=INF, mu=0),
+          initial_params=dict(h=NAN, m=0), total_requests=None, window_size=0,
+          controller_kind=None, hold_mode="fixed"),
+     ["master_seed must be non-negative", "lambda1 must be strictly positive",
+      "k must be a finite number", "mu must be strictly positive", "h must be a finite number",
+      "m must be at least 1", "total_requests must be an integer",
+      "window_size must be at least 1", "controller_kind must be 'static' or 'la'",
+      "hold_mode must be 'deterministic' or 'exponential'"]),
+])
+def test_validate_config_returns_each_rules_exact_message(kw, messages):
+    assert validate_config(_unchecked(**kw)) == messages

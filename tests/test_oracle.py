@@ -101,6 +101,17 @@ def test_invalid_inputs():
         two_class_loss(4, 1.0, 1.0, 1.0, 0.0)
 
 
+def test_a_nan_load_or_rate_is_rejected_at_once():
+    # a nan load would make erlang_b loop m times and return nan
+    with pytest.raises(ValueError, match="offered load must be non-negative"):
+        erlang_b(10**7, math.nan)
+    for rates in ((math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="arrival rates must be non-negative"):
+            two_class_loss(8, *rates, 1.0, 1.0)
+        with pytest.raises(ValueError, match="departure rates must be positive"):
+            two_class_loss(8, 1.0, 1.0, *rates)
+
+
 def dense_ctmc(m, lambda1, lambda2, rate1, rate2):
     """(Ploss, Pr, Pa) of the exponential two-class loss chain, by dense solve."""
     states = [(i, j) for i in range(m + 1) for j in range(m + 1 - i)]
