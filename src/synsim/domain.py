@@ -10,15 +10,7 @@ import json
 import math
 import numbers
 from dataclasses import MISSING, dataclass, field, fields
-from enum import IntEnum
 from pathlib import Path
-
-
-class RequestClass(IntEnum):
-    """A request's class; its int value indexes the engine's [regular, attack] pairs."""
-
-    REGULAR = 0
-    ATTACK = 1
 
 
 @dataclass(frozen=True)
@@ -131,7 +123,9 @@ def validate_config(config: SimConfig) -> list[str]:
     total_ok = need(_is_int(total), "total_requests", "be an integer")
     # as Python ints: numpy ints of two widths may not hold each other
     if (need(_is_int(window), "window_size", "be an integer")
-            and need(int(window) >= 1, "window_size", "be at least 1") and total_ok):
+            and need(int(window) >= 1, "window_size", "be at least 1")
+            # a running window takes about 150 bytes per arrival: about 150 MB here
+            and need(int(window) <= 10**6, "window_size", "be at most 1000000") and total_ok):
         need(int(total) >= int(window) and not int(total) % int(window),
              "total_requests", "be a positive multiple of window_size")
     for name, a, b in (("controller_kind", "static", "la"),

@@ -67,11 +67,11 @@ and occupancy from a bounded cache (_TAILS), and the m and h columns.
 replay_trace is the format's one reader: it replays the lines back to the
 run totals they give, checking each against the rules the writer keeps.
 
-Bookkeeping keeps one representation per concept.  Every per-class count
-(arrivals, admissions, completions, expiries) is a [regular, attack] pair
-indexed by the RequestClass int; blocks are arrivals less admissions, and
-each resident is one column of a records array, so the occupancy is a count
-of the records.  The run audit compares two tallies kept apart after the
+Bookkeeping keeps one representation per concept.  A class is the int REG
+0 or ATT 1, and every per-class count (arrivals, admissions, completions,
+expiries) is a [regular, attack] pair indexed by it; blocks are arrivals
+less admissions, and each resident is one column of a records array, so
+the occupancy is a count of the records.  The run audit compares two tallies kept apart after the
 final drain: admissions from admit_or_block's answers, counted by step, and
 departures from depart, so a record the drain left behind fails it.
 """
@@ -85,16 +85,16 @@ from heapq import heappush, heapreplace
 import numpy as np
 
 from .controller import make_controller
-from .domain import DefenseParams, RequestClass, SimConfig
+from .domain import DefenseParams, SimConfig, _is_finite
 from .metrics import WindowMetrics, cumulative_metrics, finalize_window
 
 _INF = math.inf
-REG, ATT = RequestClass.REGULAR, RequestClass.ATTACK
-CLASS_LABEL = tuple(cls.name.lower() for cls in RequestClass)  # event-trace text
+REG, ATT = 0, 1  # a request's class
+CLASS_LABEL = ("regular", "attack")  # event-trace text, indexed by class
+KINDS = ("admit", "block", "complete", "expire")  # event-trace kinds, params aside
 
 # the kind and class columns of an event-trace line, indexed by 2 * kind + class
-EVENT_LABELS = tuple(f"{kind}\t{label}" for kind in ("admit", "block", "complete", "expire")
-                     for label in CLASS_LABEL)
+EVENT_LABELS = tuple(f"{kind}\t{label}" for kind in KINDS for label in CLASS_LABEL)
 
 # columns of a resident record; COMPLETE is 1.0 when the entry will complete
 ADMIT, CLS, SERVICE, HOLD_UNIT, DEP, COMPLETE = range(6)
@@ -174,7 +174,7 @@ class EvictionSummary:
 
 @dataclass
 class RunTotals:
-    """Whole-run per-class conservation counters, keyed by RequestClass."""
+    """Whole-run per-class conservation counters, keyed by class (REG 0, ATT 1)."""
 
     arrivals: dict
     admitted: dict
@@ -189,7 +189,7 @@ class RunTotals:
 
 def _totals(*pairs: list[int]) -> RunTotals:
     """RunTotals of [regular, attack] pairs of arrivals, admissions, completions, expiries."""
-    return RunTotals(*(dict(zip(RequestClass, pair)) for pair in pairs))
+    return RunTotals(*(dict(enumerate(pair)) for pair in pairs))
 
 
 @dataclass
@@ -329,9 +329,9 @@ class BacklogState:
 def trace_events(departed: np.ndarray, occupancy: int, offered: np.ndarray = _NO_RECORDS,
                  admitted: np.ndarray = _NO_ARRIVALS) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A settle's events in trace order: their times, their codes (2 * kind +
-    class; kind 0-3 is admit, block, complete, expire) and the occupancy after
-    each.  departed is what advance_to returned, occupancy the total after it,
-    and offered and admitted are step's argument and its admission mask.
+    class, kind indexing KINDS) and the occupancy after each.  departed is
+    what advance_to returned, occupancy the total after it, and offered and
+    admitted are step's argument and its admission mask.
 
     Events go in time order, and events of one instant by rank: departures
     0, arrivals 1, zero-lifetime departures (departure == admission) 2, so a
@@ -385,25 +385,27 @@ def _trace_lines(params: DefenseParams, *settle) -> str:
 
 
 # the occupancy change of each line kind
-_STEP = {"admit": 1, "block": 0, "complete": -1, "expire": -1, "params": 0}
+_STEP = dict(zip(KINDS, (1, 0, -1, -1)), params=0)
 
 
 def replay_trace(text: str) -> RunTotals:
     """Replay an event trace line by line; return the RunTotals its lines give.
 
-    Raises ValueError naming the first line that breaks a rule, and the rule:
-    a line has six columns, a known kind and class, a time that is a number
-    (inf included, nan not), an integer occupancy and m and a number h;
-    times never decrease; each line's occupancy is the running count, never
-    below 0 and ending at 0; an admit comes only while the count before it
-    is below its m, a block only while it is not; m and h change only on a
-    params line; at one instant, a departure follows an arrival only as an
-    expire after a params line that changed h (an eviction), or as the one
-    zero-lifetime departure of that instant's admission, of its class.
+    Raises ValueError naming the first line that breaks a rule, and the
+    rule: a line has six columns, a known kind and class, a time that is a
+    number (inf included, nan not), an integer occupancy, and m and h as a
+    config holds them (an integer m from 1 to the float range, a finite
+    positive h); times never decrease; each line's occupancy is the running
+    count, never below 0 and ending at 0; an admit comes only while the
+    count before it is below its m, a block only while it is not; m and h
+    change only on a params line; at one instant, a departure follows an
+    arrival only as an expire after a params line that changed h (an
+    eviction), or as the one zero-lifetime departure of that instant's
+    admission, of its class.
     Blind spot: a resident of that class that leaves then, traced after the
     admission, reads as that zero lifetime; the writer traces it before.
     """
-    lines = {kind: [0, 0] for kind in ("admit", "block", "complete", "expire")}
+    lines = {kind: [0, 0] for kind in KINDS}
     count, now, columns, number = 0, -_INF, None, 0
     arrived, zero, evicting = False, None, False  # at the instant now
 
@@ -416,7 +418,7 @@ def replay_trace(text: str) -> RunTotals:
             value = convert(text)
         except ValueError:
             value = math.nan
-        if math.isnan(value):
+        if value != value:  # nan; math.isnan overflows on an int past the float range
             noun = "a number" if convert is float else "an integer"
             raise broken(f"{name} {text!r} is not {noun}")
         return value
@@ -431,7 +433,11 @@ def replay_trace(text: str) -> RunTotals:
             raise broken(f"unknown class {label!r}")
         step, t = _STEP[kind], parsed(float, "time", t)
         occupancy, m = parsed(int, "occupancy", occupancy), parsed(int, "m", m_h[0])
-        parsed(float, "h", m_h[1])  # compared as text, but a number
+        h = parsed(float, "h", m_h[1])  # compared as text, but a number
+        if not (m >= 1 and _is_finite(m)):
+            raise broken(f"m {m_h[0]!r} is not at least 1 and within the float range")
+        if not 0 < h < _INF:
+            raise broken(f"h {m_h[1]!r} is not finite and positive")
         if t != now:
             if t < now:
                 raise broken("time decreases")
@@ -469,9 +475,9 @@ class ConservationError(AssertionError):
 
 
 def _audit(totals: RunTotals) -> None:
-    for cls in RequestClass:
+    for cls, label in enumerate(CLASS_LABEL):
         if totals.admitted[cls] != totals.completed[cls] + totals.expired[cls]:
-            raise ConservationError(f"{CLASS_LABEL[cls]}: admitted != completed + expired")
+            raise ConservationError(f"{label}: admitted != completed + expired")
 
 
 def run_simulation(config: SimConfig, controller=None, seed: int | None = None,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from . import oracle
 from .controller import LaController, make_controller
 from .domain import SimConfig, load_config
-from .engine import replay_trace, run_simulation
+from .engine import KINDS, replay_trace, run_simulation
 from .metrics import WINDOW_FIELDS, window_values
 
 # a window's fields but its duration, the last
@@ -164,7 +164,7 @@ def trace_ordering_ok(trace_text: str) -> bool:
     lifetime is positive: a zero lifetime follows its own admission, a correct
     trace that this rejects.  Kept only for perfbench's check_event_trace until
     that check moves onto engine.replay_trace, which supersedes this scan."""
-    rank = {"complete": 0, "expire": 0, "admit": 1, "block": 1}
+    rank = dict(zip(KINDS, (1, 1, 0, 0)))  # arrivals 1, departures 0
     prev_t, prev_rank = None, -1
     for line in trace_text.splitlines():
         t_str, kind = line.split("\t")[:2]

@@ -16,7 +16,7 @@ import conftest
 
 from synsim.automata import Automaton
 from synsim.domain import SimConfig, TrafficModel
-from synsim.engine import RequestClass, run_simulation
+from synsim.engine import ATT, REG, run_simulation
 from synsim.harness import SweepSpec, run_sweep, run_validate, window_csv
 from synsim.oracle import ORACLE_CASES
 
@@ -181,7 +181,7 @@ def test_criterion_9_conservation_audit():
                                hold_mode=hold_mode, total_requests=20000,
                                window_size=500)
             t = run_simulation(config).totals
-            for cls in RequestClass:
+            for cls in (REG, ATT):
                 ok = ok and t.admitted[cls] == t.completed[cls] + t.expired[cls]
                 ok = ok and (t.admitted[cls] + t.blocked[cls] == t.arrivals[cls])
     assert report("9 per-class conservation exact", ok)

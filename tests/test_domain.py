@@ -333,6 +333,13 @@ def test_a_config_is_rejected_naming_a_field_or_gives_a_meaningful_run(f):
         assert 0.0 < w.window_duration < INF
 
 
+def test_a_window_holds_at_most_a_million_arrivals():
+    # built, not run: a window's run takes about 150 bytes per arrival
+    SimConfig(master_seed=0, total_requests=10**6, window_size=10**6)
+    with pytest.raises(ValueError, match="^invalid config: window_size must be at most 1000000$"):
+        SimConfig(master_seed=0, total_requests=50_000_000, window_size=50_000_000)
+
+
 # -- validate_config's exact messages ------------------------------------------
 
 def _unchecked(traffic=None, initial_params=None, **kw):
@@ -375,6 +382,8 @@ def _unchecked(traffic=None, initial_params=None, **kw):
     (dict(total_requests=np.float64(1000)), ["total_requests must be an integer"]),
     (dict(window_size="500"), ["window_size must be an integer"]),
     (dict(window_size=-5), ["window_size must be at least 1"]),
+    (dict(window_size=10**6 + 1, total_requests=10**6 + 1),
+     ["window_size must be at most 1000000"]),
     (dict(total_requests=1200), ["total_requests must be a positive multiple of window_size"]),
     (dict(controller_kind="LA"), ["controller_kind must be 'static' or 'la'"]),
     (dict(hold_mode=np.array(["deterministic"])),

@@ -9,14 +9,11 @@ import numpy as np
 import pytest
 
 from synsim import engine
-from synsim.domain import DefenseParams, RequestClass, SimConfig, TrafficModel
-from synsim.engine import (ADMIT, CLASS_LABEL, DEP, EVENT_LABELS, HOLD_UNIT, SERVICE,
+from synsim.domain import DefenseParams, SimConfig, TrafficModel
+from synsim.engine import (ADMIT, ATT, CLASS_LABEL, DEP, EVENT_LABELS, HOLD_UNIT, REG, SERVICE,
                            BacklogState, ConservationError, _ExpStream,
                            replay_trace, run_simulation, trace_events)
 from synsim.harness import trace_ordering_ok, window_csv
-
-REG = RequestClass.REGULAR
-ATT = RequestClass.ATTACK
 
 
 class SampledState(BacklogState):
@@ -669,6 +666,20 @@ def time_decreases(lines):
     (lambda _: (tsv("0.5 admit attack 1.0 128 75.0"), 1), "occupancy '1.0' is not an integer"),
     (lambda _: (tsv("0.5 admit attack 1 128.0 75.0"), 1), "m '128.0' is not an integer"),
     (lambda _: (tsv("0.5 admit attack 1 128 abc"), 1), "h 'abc' is not a number"),
+    # m and h as no config holds them, a params line's included
+    (lambda _: (tsv("0.5 block attack 0 0 75.0"), 1),
+     "m '0' is not at least 1 and within the float range"),
+    (lambda _: (tsv("0.5 admit attack 1 128 75.0", "1.0 params - 1 -7 75.0",
+                    "2.0 expire attack 0 -7 75.0"), 2),
+     "m '-7' is not at least 1 and within the float range"),
+    (lambda _: (tsv(f"0.5 admit attack 1 {10**400} 75.0", f"2.0 expire attack 0 {10**400} 75.0"),
+                1), f"m '{10**400}' is not at least 1 and within the float range"),
+    (lambda _: (tsv("0.5 admit attack 1 128 -3", "2.0 expire attack 0 128 -3"), 1),
+     "h '-3' is not finite and positive"),
+    (lambda _: (tsv("0.5 admit attack 1 128 inf", "2.0 expire attack 0 128 inf"), 1),
+     "h 'inf' is not finite and positive"),
+    (lambda _: (tsv("0.5 admit attack 1 128 75.0", "1.0 params - 1 128 0.0",
+                    "2.0 expire attack 0 128 0.0"), 2), "h '0.0' is not finite and positive"),
     # a departure first, made up by a later admission, would end at 0
     (lambda _: (tsv("0.5 expire attack -1 128 75.0", "1.0 admit attack 0 128 75.0"), 1),
      "a departure with no resident"),
@@ -678,7 +689,8 @@ def time_decreases(lines):
         "inverted-tie", "second-zero-lifetime", "h-without-params", "m-without-params",
         "m-change-evicts", "unknown-kind", "unknown-class", "three-columns", "blank-line",
         "time-not-a-number", "params-without-h", "time-nan", "occupancy-not-an-integer",
-        "m-not-an-integer", "h-not-a-number", "departure-first", "departure-first-at-minus-inf"])
+        "m-not-an-integer", "h-not-a-number", "m-0", "params-m-minus-7", "m-past-float",
+        "h-minus-3", "h-inf", "params-h-0", "departure-first", "departure-first-at-minus-inf"])
 def test_replay_rejects_a_corrupted_trace_naming_its_line_and_rule(corrupt, rule):
     # a static k = 2 run fills its 128 slots, so it both admits and blocks
     buf = io.StringIO()
