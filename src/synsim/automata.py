@@ -3,12 +3,14 @@
 The automaton keeps a probability vector over a finite ordered action set
 and nudges it with the classic linear scheme: a favorable response pulls
 probability toward the selected action, an unfavorable one pushes it away
-and redistributes to the others.  b = 0 gives reward-inaction.
+and redistributes to the others.  b = 0 gives reward-inaction.  The vector
+is a tuple of floats, so a recorded one never changes.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from bisect import bisect_right
+from itertools import accumulate
 
 
 class Automaton:
@@ -24,35 +26,27 @@ class Automaton:
         self.actions = tuple(actions)
         self.a = a
         self.b = b
-        self.p = np.full(self.r, 1.0 / self.r)  # the uniform prior
+        self.p = (1.0 / len(actions),) * len(actions)  # the uniform prior
         self.last_selected: int | None = None
 
-    @property
-    def r(self) -> int:
-        return len(self.actions)
-
-    def select(self, rng: np.random.Generator) -> int:
-        """Draw an action index by inverse CDF over the ordered action list."""
-        u = rng.random()
-        i = int(np.searchsorted(np.cumsum(self.p), u, side="right"))
-        i = min(i, self.r - 1)  # guard against cumsum rounding at u ~ 1
-        self.last_selected = i
-        return i
+    def select(self, rng) -> int:
+        """Draw an action index by inverse CDF at u = rng.random() over the ordered actions."""
+        i = bisect_right(list(accumulate(self.p)), rng.random())
+        self.last_selected = min(i, len(self.p) - 1)  # guard against the sums' rounding at u ~ 1
+        return self.last_selected
 
     def reward(self, i: int) -> None:
         """Favorable response: p_i += a*(1 - p_i), others scaled by (1 - a)."""
         if i != self.last_selected:
             raise ValueError("feedback for unselected action")
         a = self.a
-        pi = self.p[i]
-        self.p *= (1.0 - a)
-        self.p[i] = pi + a * (1.0 - pi)
+        self.p = tuple(q + a * (1.0 - q) if j == i else q * (1.0 - a)
+                       for j, q in enumerate(self.p))
 
     def penalty(self, i: int) -> None:
         """Unfavorable response: p_i *= (1 - b), others get b/(r-1) + (1-b)*p_j."""
         if i != self.last_selected:
             raise ValueError("feedback for unselected action")
-        b = self.b
-        pi = self.p[i]
-        self.p = b / (self.r - 1) + (1.0 - b) * self.p
-        self.p[i] = (1.0 - b) * pi
+        b, r = self.b, len(self.p)
+        self.p = tuple((1.0 - b) * q if j == i else b / (r - 1) + (1.0 - b) * q
+                       for j, q in enumerate(self.p))

@@ -77,12 +77,12 @@ class LaController:
         self.m_automaton = Automaton(M_ACTIONS, REWARD_STEP, PENALTY_STEP)
         self.prev_score = _NO_SCORE
         # (p_h, p_m) after each round; round r is at index r
-        self.trace: list[tuple[np.ndarray, np.ndarray]] = []
+        self.trace: list[tuple[tuple[float, ...], tuple[float, ...]]] = []
 
     def _end_round(self) -> DefenseParams:
         """Trace the round's vectors; returns its pair, the automata's last selections."""
         h, m = self.h_automaton, self.m_automaton
-        self.trace.append((h.p.copy(), m.p.copy()))
+        self.trace.append((h.p, m.p))
         return DefenseParams(h.actions[h.last_selected], m.actions[m.last_selected])
 
     def _sample(self, rng: np.random.Generator) -> None:

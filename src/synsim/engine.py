@@ -395,13 +395,13 @@ def replay_trace(text: str) -> RunTotals:
     rule: a line has six columns, a known kind and class, a time that is a
     number (inf included, nan not), an integer occupancy, and m and h as a
     config holds them (an integer m from 1 to the float range, a finite
-    positive h); times never decrease; each line's occupancy is the running
-    count, never below 0 and ending at 0; an admit comes only while the
-    count before it is below its m, a block only while it is not; m and h
-    change only on a params line; at one instant, a departure follows an
-    arrival only as an expire after a params line that changed h (an
-    eviction), or as the one zero-lifetime departure of that instant's
-    admission, of its class.
+    positive h), each number written as its str; times never decrease; each
+    line's occupancy is the running count, never below 0 and ending at 0; an
+    admit comes only while the count before it is below its m, a block only
+    while it is not; m and h change only on a params line; at one instant, a
+    departure follows an arrival only as an expire after a params line that
+    changed h (an eviction), or as the one zero-lifetime departure of that
+    instant's admission, of its class.
     Blind spot: a resident of that class that leaves then, traced after the
     admission, reads as that zero lifetime; the writer traces it before.
     """
@@ -438,6 +438,10 @@ def replay_trace(text: str) -> RunTotals:
             raise broken(f"m {m_h[0]!r} is not at least 1 and within the float range")
         if not 0 < h < _INF:
             raise broken(f"h {m_h[1]!r} is not finite and positive")
+        for name, written, value in zip(("time", "occupancy", "m", "h"), row[:1] + row[3:],
+                                        (t, occupancy, m, h)):
+            if str(value) != written:  # the writer's form: '+1', '01', '1_0' or 'Infinity' fail
+                raise broken(f"{name} {written!r} is not written as {str(value)!r}")
         if t != now:
             if t < now:
                 raise broken("time decreases")

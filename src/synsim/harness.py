@@ -52,7 +52,7 @@ def la_trace_csv(controller: LaController) -> str:
         (rnd, name, i, automaton.actions[i], prob)
         for rnd, vectors in enumerate(controller.trace)
         for (name, automaton), p in zip(automata, vectors)
-        for i, prob in enumerate(p.tolist())))
+        for i, prob in enumerate(p)))
 
 
 def run_single(config: SimConfig, out_path: str | None = None,

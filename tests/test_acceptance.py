@@ -109,7 +109,7 @@ def test_criterion_4_simplex_fuzz():
             else:
                 auto.penalty(i)
             p = auto.p
-            if abs(p.sum() - 1.0) > 1e-9 or p.min() < 0.0 or p.max() > 1.0:
+            if abs(sum(p) - 1.0) > 1e-9 or min(p) < 0.0 or max(p) > 1.0:
                 violations += 1
     assert report("4 simplex preserved over 1e5 random sequences",
                   violations == 0, f"{violations} violations")

@@ -8,7 +8,7 @@ from synsim.automata import Automaton
 
 def make(p, a=0.1, b=0.05):
     auto = Automaton(tuple(range(len(p))), a=a, b=b)
-    auto.p = np.array(p, float)
+    auto.p = tuple(map(float, p))
     return auto
 
 
@@ -53,7 +53,7 @@ def test_penalty_three_actions():
     auto.penalty(0)
     expected = [0.7 / 3, 0.15 + 0.7 / 3, 0.15 + 0.7 / 3]
     assert auto.p == pytest.approx(expected, abs=1e-12)
-    assert auto.p.sum() == pytest.approx(1.0, abs=1e-12)
+    assert sum(auto.p) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_feedback_for_unselected_action_rejected():
@@ -121,8 +121,8 @@ def test_simplex_preserved_under_random_updates(r, a, b, seed):
             auto.reward(i)
         else:
             auto.penalty(i)
-        assert abs(auto.p.sum() - 1.0) <= 1e-9
-        assert (auto.p >= 0.0).all() and (auto.p <= 1.0).all()
+        assert abs(sum(auto.p) - 1.0) <= 1e-9
+        assert min(auto.p) >= 0.0 and max(auto.p) <= 1.0
 
 
 def test_reward_inaction_absorbs_on_always_rewarded_action():

@@ -86,7 +86,7 @@ def test_favorable_retains_params_but_still_updates_vectors():
     rng = np.random.default_rng(7)
     first = ctrl.initial_params(rng)
     hi, mi = ctrl.h_automaton.last_selected, ctrl.m_automaton.last_selected
-    ph_before = ctrl.h_automaton.p.copy()
+    ph_before = ctrl.h_automaton.p
     # the first window is always favorable
     out = ctrl.on_window_end(window_with_j(10.0), rng)
     assert out == first
@@ -113,6 +113,19 @@ def test_both_automata_receive_same_signal():
         moved_up_h = ctrl.h_automaton.p[hi] > ph
         moved_up_m = ctrl.m_automaton.p[mi] > pm
         assert moved_up_h == moved_up_m
+
+
+def test_a_traced_round_is_unchanged_by_later_rounds():
+    # the trace holds each round's vectors themselves, not copies
+    ctrl = LaController()
+    rng = np.random.default_rng(11)
+    ctrl.initial_params(rng)
+    seen = [(list(ctrl.h_automaton.p), list(ctrl.m_automaton.p))]
+    for j in (3.0, 4.0, 1.0, 5.0, 2.0, 2.0, 6.0):  # rewards and penalties
+        ctrl.on_window_end(window_with_j(j), rng)
+        seen.append((list(ctrl.h_automaton.p), list(ctrl.m_automaton.p)))
+    assert [(list(h), list(m)) for h, m in ctrl.trace] == seen
+    assert len({tuple(h) for h, _ in seen}) == len(seen)  # every round moved the h vector
 
 
 def synthetic_j(h, m):

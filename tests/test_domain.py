@@ -396,6 +396,13 @@ def _unchecked(traffic=None, initial_params=None, **kw):
       "m must be at least 1", "total_requests must be an integer",
       "window_size must be at least 1", "controller_kind must be 'static' or 'la'",
       "hold_mode must be 'deterministic' or 'exponential'"]),
-])
+# explicit ids, kept as pytest first generated them: a new row takes a new id
+# and renames no other
+], ids=["kw0-messages0", "kw1-messages1", "kw2-messages2", "kw3-messages3", "kw4-messages4",
+    "kw5-messages5", "kw6-messages6", "kw7-messages7", "kw8-messages8", "kw9-messages9",
+    "kw10-messages10", "kw11-messages11", "kw12-messages12", "kw13-messages13",
+    "kw14-messages14", "kw15-messages15", "kw16-messages16", "kw17-messages17",
+    "kw18-messages18", "kw19-messages19", "kw20-messages20", "kw21-messages21",
+    "kw22-messages22", "kw23-messages23", "kw24-messages24"])
 def test_validate_config_returns_each_rules_exact_message(kw, messages):
     assert validate_config(_unchecked(**kw)) == messages

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 from synsim import engine
+from synsim.controller import LaController
 from synsim.domain import DefenseParams, SimConfig, TrafficModel
 from synsim.engine import (ADMIT, ATT, CLASS_LABEL, DEP, EVENT_LABELS, HOLD_UNIT, REG, SERVICE,
                            BacklogState, ConservationError, _ExpStream,
                            replay_trace, run_simulation, trace_events)
-from synsim.harness import trace_ordering_ok, window_csv
+from synsim.harness import la_trace_csv, trace_ordering_ok, window_csv
 
 
 class SampledState(BacklogState):
@@ -685,12 +686,29 @@ def time_decreases(lines):
      "a departure with no resident"),
     # the first line's instant is the replay's start, -inf
     (lambda _: (tsv("-inf expire attack -1 128 75.0"), 1), "a departure with no resident"),
+    # numbers that int and float read but the writer never writes
+    (lambda _: (tsv("0.5 admit attack +1 128 75.0", "2.0 expire attack 0 128 75.0"), 1),
+     r"occupancy '\+1' is not written as '1'"),  # the rule is a pattern
+    (lambda _: ("0.5\tadmit\tattack\t 1\t128\t75.0\n" + tsv("2.0 expire attack 0 128 75.0"), 1),
+     "occupancy ' 1' is not written as '1'"),
+    (lambda _: (tsv("0.5 admit attack 1 1_28 75.0", "2.0 expire attack 0 1_28 75.0"), 1),
+     "m '1_28' is not written as '128'"),
+    (lambda _: (tsv("0.5 admit attack 1 0128 75.0", "2.0 expire attack 0 0128 75.0"), 1),
+     "m '0128' is not written as '128'"),
+    (lambda _: (tsv("0.5 admit attack 1 128 7_5.0", "2.0 expire attack 0 128 7_5.0"), 1),
+     "h '7_5.0' is not written as '75.0'"),
+    (lambda _: (tsv("0.5 admit attack 1 128 75.0", "1_0.5 expire attack 0 128 75.0"), 2),
+     "time '1_0.5' is not written as '10.5'"),
+    (lambda _: (tsv("0.5 admit attack 1 128 75.0", "Infinity expire attack 0 128 75.0"), 2),
+     "time 'Infinity' is not written as 'inf'"),
 ], ids=["block-to-admit", "admit-to-block", "admit-deleted", "time-decreases", "cut",
         "inverted-tie", "second-zero-lifetime", "h-without-params", "m-without-params",
         "m-change-evicts", "unknown-kind", "unknown-class", "three-columns", "blank-line",
         "time-not-a-number", "params-without-h", "time-nan", "occupancy-not-an-integer",
         "m-not-an-integer", "h-not-a-number", "m-0", "params-m-minus-7", "m-past-float",
-        "h-minus-3", "h-inf", "params-h-0", "departure-first", "departure-first-at-minus-inf"])
+        "h-minus-3", "h-inf", "params-h-0", "departure-first", "departure-first-at-minus-inf",
+        "occupancy-plus", "occupancy-space", "m-underscore", "m-leading-zero", "h-underscore",
+        "time-underscore", "time-infinity"])
 def test_replay_rejects_a_corrupted_trace_naming_its_line_and_rule(corrupt, rule):
     # a static k = 2 run fills its 128 slots, so it both admits and blocks
     buf = io.StringIO()
@@ -807,6 +825,37 @@ def test_sample_path_is_pinned(case):
         assert any(row[1] == "params" and int(row[3]) > int(row[4])
                    and (after[0], after[1]) != (row[0], "expire")
                    for row, after in zip(rows, rows[1:]))
+
+
+# sha256 of the LA trace CSV of each LA case of SAMPLE_PATH_SHA256.  The
+# deterministic and exponential cases of one k share a trace: the automata
+# see only the window scores, and those rank alike in both modes.
+LA_TRACE_SHA256 = {
+    "la-deterministic-0.0":
+        "af994b31065fa7889bb7f345488fb850d0042d650b5a56bb9ab546f6c1aded5c",
+    "la-deterministic-2.0":
+        "6ad1ad9872a6e81780b7b9f7961263c7409f9833a5f20273be88cd38ef31bc54",
+    "la-deterministic-2.0-overshoot":
+        "4e1046d078b99d6d70256e9110b294faf02a9cb41141949f5e85d5da755c176d",
+    "la-exponential-0.0":
+        "af994b31065fa7889bb7f345488fb850d0042d650b5a56bb9ab546f6c1aded5c",
+    "la-exponential-2.0":
+        "6ad1ad9872a6e81780b7b9f7961263c7409f9833a5f20273be88cd38ef31bc54",
+    "la-exponential-2.0-window1":
+        "c1c5e993be71eaff07b5521acd2c45bf3ae1d225c1b3427341227509b6148489",
+    "la-exponential-2.0-window5000":
+        "f3f0e946c17dca77ea9a3cefdeaac1727316e946a43644683b0425f116ede2af",
+    "la-exponential-2.0-window700":
+        "a734e53d465769444678b50d4d8bdf6122f3300be38ea70eff2c6d4e3fd837ab",
+}
+
+
+@pytest.mark.parametrize("case", sorted(LA_TRACE_SHA256))
+def test_la_trace_is_pinned(case):
+    controller = LaController()
+    run_simulation(case_config(case), controller=controller)
+    text = la_trace_csv(controller)
+    assert hashlib.sha256(text.encode()).hexdigest() == LA_TRACE_SHA256[case]
 
 
 def test_no_params_change_after_the_last_window():
