@@ -391,10 +391,10 @@ _STEP = dict(zip(KINDS, (1, 0, -1, -1)), params=0)
 def replay_trace(text: str) -> RunTotals:
     """Replay an event trace line by line; return the RunTotals its lines give.
 
-    Raises ValueError naming the first line that breaks a rule, and the
-    rule: a line has six columns, a known kind and class, a time that is a
-    number (inf included, nan not), an integer occupancy, and m and h as a
-    config holds them (an integer m from 1 to the float range, a finite
+    Raises ValueError naming the first line that breaks a rule, and the rule:
+    a line has six columns, a known kind and class, a time that is a number
+    not below 0 (inf included, nan not), an integer occupancy, and m and h as
+    a config holds them (an integer m from 1 to the float range, a finite
     positive h), each number written as its str; times never decrease; each
     line's occupancy is the running count, never below 0 and ending at 0; an
     admit comes only while the count before it is below its m, a block only
@@ -456,6 +456,8 @@ def replay_trace(text: str) -> RunTotals:
             raise broken(f"occupancy {occupancy} is not the running count {count}")
         if count < 0:
             raise broken("a departure with no resident")
+        if t < 0:  # the writer's clock starts at 0.0
+            raise broken(f"time {row[0]!r} is negative")
         if kind == "params":
             continue
         cls = CLASS_LABEL.index(label)

@@ -26,10 +26,12 @@ from .domain import DefenseParams, SimConfig, TrafficModel
 def erlang_b(m: int, offered_load: float) -> float:
     """Blocking probability of an M/M/m/m loss system.
 
-    Recursion: B(0) = 1, B(n) = a*B(n-1) / (n + a*B(n-1)), stopped once B
-    underflows to 0.0, where it stays.  A load a with a + m == a in float,
-    inf included, has n + a == a for every n <= m (rounding is monotone), so
-    every step gives a / a = 1.0 and it returns 1.0 at once.
+    Recursion: B(0) = 1, B(n) = a*B(n-1) / (n + a*B(n-1)).  Below the normal
+    range B is carried as b 2**e, b in [0.5, 1), and rounded once at the end,
+    since in float a step from B = 5e-324 gives it back while a/n > 1/2; it
+    stops once B < 2**-1075, which rounds to 0.0, as every later B does.  A
+    load with a + m == a in float, inf included, has n + a == a for n <= m
+    (rounding is monotone), so every step gives 1.0 and it returns 1.0 at once.
     """
     if m < 0:
         raise ValueError("m must be non-negative")
@@ -39,9 +41,14 @@ def erlang_b(m: int, offered_load: float) -> float:
         return 1.0
     b = 1.0
     for n in range(1, m + 1):
-        if not b:
-            break
         b = offered_load * b / (n + offered_load * b)
+        if b < 2.2250738585072014e-308:  # sys.float_info.min, the least normal float
+            b, e = math.frexp(b)  # b = 0.0, stopping it, if B(n) underflowed to 0.0
+            while b and e >= -1074 and n < m:
+                n += 1
+                b, k = math.frexp(offered_load * b / (n + math.ldexp(offered_load * b, e)))
+                e += k
+            return math.ldexp(b, e)
     return b
 
 
@@ -54,30 +61,20 @@ class LossSteadyState:
     Pa: float
 
 
-def two_class_loss(m: int, lambda1: float, lambda2: float,
-                   rate1: float, rate2: float) -> LossSteadyState:
-    """Steady state of a two-class loss system with m shared slots.
+def two_class_loss(m: int, a1: float, a2: float) -> LossSteadyState:
+    """Steady state of m shared slots under class loads a1 and a2, a = a1 + a2.
 
-    Class i arrives at lambda_i and holds a slot for a mean time 1/rate_i,
-    under any holding-time distribution.
+    Class i's load is its arrival rate times its mean holding time, under
+    any holding-time distribution.  B = a B(m - 1) / (m + a B(m - 1)) and
+    a_i (1 - B) / m = a_i / (m + a B(m - 1)), so no 1 - B cancels when B is
+    next to 1.  Every term is divided by s = max(a1, a2, 1), so none
+    overflows, and an a past the largest float has B(m - 1) = 1.0, its
+    float value.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    if not rate1 > 0 or not rate2 > 0:  # nan included
-        raise ValueError("departure rates must be positive")
-    if not lambda1 >= 0 or not lambda2 >= 0:
-        raise ValueError("arrival rates must be non-negative")
-    return _loss(m, lambda1 / rate1, lambda2 / rate2)
-
-
-def _loss(m: int, a1: float, a2: float) -> LossSteadyState:
-    """Steady state of m slots under finite class loads a1 and a2, a = a1 + a2.
-
-    B = a B(m - 1) / (m + a B(m - 1)) and a_i (1 - B) / m = a_i / (m + a B(m - 1)),
-    so no 1 - B cancels when B is next to 1.  Every term is divided by
-    s = max(a1, a2, 1), so none overflows, and an a past the largest float
-    has B(m - 1) = 1.0, its float value.
-    """
+    if not (0 <= a1 < math.inf and 0 <= a2 < math.inf):  # nan included
+        raise ValueError("class loads must be finite and non-negative")
     scale = max(a1, a2, 1.0)
     x1, x2 = a1 / scale, a2 / scale
     held = (x1 + x2) * erlang_b(m - 1, a1 + a2)  # a B(m - 1) / s
@@ -89,7 +86,7 @@ def steady_state(config: SimConfig) -> LossSteadyState:
     """Steady state of config run under its initial (h, m), held fixed.
 
     Exact to float rounding whenever each class load, lambda_i E[hold_i],
-    is finite; a class load past the largest float by itself is out of scope.
+    is finite; a class load past the largest float raises ValueError.
     """
     traffic, params = config.traffic, config.initial_params
     lambda1, mu, h = traffic.lambda1, traffic.mu, params.h
@@ -101,7 +98,7 @@ def steady_state(config: SimConfig) -> LossSteadyState:
         rate = mu + 1.0 / h  # min(Exp(mu), Exp(1/h)) is Exp(mu + 1/h)
         # rate overflows only for h < 1e-291, where mu h and lambda1 h are below 1e17
         a1 = lambda1 / rate if rate < math.inf else lambda1 * h / (1.0 + mu * h)
-    return _loss(params.m, a1, traffic.lambda2 * h)
+    return two_class_loss(params.m, a1, traffic.lambda2 * h)
 
 
 @dataclass(frozen=True)

@@ -701,6 +701,11 @@ def time_decreases(lines):
      "time '1_0.5' is not written as '10.5'"),
     (lambda _: (tsv("0.5 admit attack 1 128 75.0", "Infinity expire attack 0 128 75.0"), 2),
      "time 'Infinity' is not written as 'inf'"),
+    # the writer's times start at 0.0
+    (lambda _: (tsv("-5.0 admit attack 1 128 75.0", "-4.0 expire attack 0 128 75.0"), 1),
+     "time '-5.0' is negative"),
+    (lambda _: (tsv("-inf admit attack 1 128 75.0", "-inf expire attack 0 128 75.0"), 1),
+     "time '-inf' is negative"),
 ], ids=["block-to-admit", "admit-to-block", "admit-deleted", "time-decreases", "cut",
         "inverted-tie", "second-zero-lifetime", "h-without-params", "m-without-params",
         "m-change-evicts", "unknown-kind", "unknown-class", "three-columns", "blank-line",
@@ -708,7 +713,7 @@ def time_decreases(lines):
         "m-not-an-integer", "h-not-a-number", "m-0", "params-m-minus-7", "m-past-float",
         "h-minus-3", "h-inf", "params-h-0", "departure-first", "departure-first-at-minus-inf",
         "occupancy-plus", "occupancy-space", "m-underscore", "m-leading-zero", "h-underscore",
-        "time-underscore", "time-infinity"])
+        "time-underscore", "time-infinity", "time-negative", "time-minus-inf"])
 def test_replay_rejects_a_corrupted_trace_naming_its_line_and_rule(corrupt, rule):
     # a static k = 2 run fills its 128 slots, so it both admits and blocks
     buf = io.StringIO()

@@ -454,6 +454,14 @@ def test_readme_config_example_is_valid():
     assert validate_config(config_from_dict(json.loads(block))) == []
 
 
+def test_readme_library_example_runs(capsys):
+    # README's "Library" block runs as written and prints two numbers, Ploss and J
+    block = re.search(r"## Library\n\n```python\n(.*?)```", README, re.S).group(1)
+    exec(block, {})
+    ploss, j = map(float, capsys.readouterr().out.split())
+    assert 0.0 <= ploss <= 1.0 and math.isfinite(j)
+
+
 def test_cli_validate_exit_status(monkeypatch, capsys):
     # short oracle runs: every case passes within 1 and fails within 0
     for tol, status in ((1.0, 0), (0.0, 1)):

@@ -29,13 +29,16 @@ def test_against_direct_factorial_sum():
     assert erlang_b(10, 5.0) == pytest.approx(0.01838, abs=1e-5)
 
 
-@pytest.mark.parametrize("a", [500.0, 1024.0, 1500.0, 3000.0])
-def test_paper_capacity_against_log_space_sum(a):
-    m = 1024
+def lgamma_erlang_b(m, a):
+    """B(m, a) = (a^m / m!) / sum of a^n / n! for n <= m, by lgamma log-sum-exp."""
     logs = [n * math.log(a) - math.lgamma(n + 1) for n in range(m + 1)]
     top = max(logs)
-    direct = math.exp(logs[-1] - top) / sum(math.exp(x - top) for x in logs)
-    assert erlang_b(m, a) == pytest.approx(direct, rel=1e-10)
+    return math.exp(logs[-1] - top - math.log(sum(math.exp(x - top) for x in logs)))
+
+
+@pytest.mark.parametrize("a", [500.0, 1024.0, 1500.0, 3000.0])
+def test_paper_capacity_against_log_space_sum(a):
+    assert erlang_b(1024, a) == pytest.approx(lgamma_erlang_b(1024, a), rel=1e-10)
 
 
 def test_monotone_in_m_and_load():
@@ -60,7 +63,7 @@ def test_early_stop_equals_the_full_recursion(m, a):
 
 
 def test_huge_capacity_returns_at_once():
-    # B is 0.0 from n = 3220 on, so this stops there, not at 10**9 steps
+    # B is 0.0 from n = 3221 on, so this stops there, not at 10**9 steps
     assert erlang_b(10**9, 1500.0) == 0.0
 
 
@@ -78,13 +81,29 @@ def test_a_load_that_dwarfs_m_equals_the_full_recursion(a):
     assert erlang_b(1000, a) == full_recursion(1000, a)
 
 
+@pytest.mark.parametrize("m, a, want", [
+    (14999, 1e4, 0.0),           # log B = -1087.3, below log 2**-1075 = -745.1
+    (150000, 1e5, 0.0),          # log B = -10826.6
+    (3219, 1500.0, 1e-323),      # B = 7.6e-324
+    (3220, 1500.0, 5e-324),      # B = 3.6e-324
+])
+def test_erlang_b_rounds_correctly_in_the_subnormal_range(m, a, want):
+    assert lgamma_erlang_b(m, a) == want
+    assert erlang_b(m, a) == want
+
+
+def test_steady_state_blocks_nothing_where_b_rounds_to_zero():
+    # a1 + a2 = 1e4 at m = 15000: Ploss = B(15000) < B(14999), which rounds to 0.0
+    assert steady_state(static_config("exponential", 500.0, 1e-9, m=15000)).Ploss == 0.0
+
+
 def test_infinite_load_blocks_everything():
     assert erlang_b(0, math.inf) == erlang_b(7, math.inf) == 1.0
 
 
 def test_no_load_blocks_and_holds_nothing():
     for m in (1, 8):
-        sol = two_class_loss(m, 0.0, 0.0, 1.0, 1.0)
+        sol = two_class_loss(m, 0.0, 0.0)
         assert (sol.Ploss, sol.Pr, sol.Pa) == (0.0, 0.0, 0.0)
 
 
@@ -94,22 +113,19 @@ def test_invalid_inputs():
     with pytest.raises(ValueError):
         erlang_b(3, -0.5)
     with pytest.raises(ValueError, match="m must"):
-        two_class_loss(0, 1.0, 1.0, 1.0, 1.0)
-    with pytest.raises(ValueError, match="arrival rates"):
-        two_class_loss(4, -1.0, 1.0, 1.0, 1.0)
-    with pytest.raises(ValueError, match="departure rates"):
-        two_class_loss(4, 1.0, 1.0, 1.0, 0.0)
+        two_class_loss(0, 1.0, 1.0)
+    for loads in ((-1.0, 1.0), (1.0, math.inf)):
+        with pytest.raises(ValueError, match="class loads"):
+            two_class_loss(4, *loads)
 
 
 def test_a_nan_load_or_rate_is_rejected_at_once():
     # a nan load would make erlang_b loop m times and return nan
     with pytest.raises(ValueError, match="offered load must be non-negative"):
         erlang_b(10**7, math.nan)
-    for rates in ((math.nan, 1.0), (1.0, math.nan)):
-        with pytest.raises(ValueError, match="arrival rates must be non-negative"):
-            two_class_loss(8, *rates, 1.0, 1.0)
-        with pytest.raises(ValueError, match="departure rates must be positive"):
-            two_class_loss(8, 1.0, 1.0, *rates)
+    for loads in ((math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="class loads must be finite and non-negative"):
+            two_class_loss(8, *loads)
 
 
 def dense_ctmc(m, lambda1, lambda2, rate1, rate2):
@@ -139,13 +155,14 @@ def dense_ctmc(m, lambda1, lambda2, rate1, rate2):
 @pytest.mark.parametrize("rates", [(3.0, 3.0, 2.0, 2.0), (10.0, 10.0, 102.0, 2.0),
                                    (7.0, 3.0, 2.0, 0.5)])
 def test_closed_form_matches_dense_ctmc(m, rates):
-    sol = two_class_loss(m, *rates)
+    lambda1, lambda2, rate1, rate2 = rates
+    sol = two_class_loss(m, lambda1 / rate1, lambda2 / rate2)
     assert (sol.Ploss, sol.Pr, sol.Pa) == pytest.approx(dense_ctmc(m, *rates),
                                                         abs=1e-12)
 
 
 def test_symmetric_m1_hand_solution():
-    sol = two_class_loss(1, 1.0, 1.0, 1.0, 1.0)
+    sol = two_class_loss(1, 1.0, 1.0)
     assert sol.Ploss == pytest.approx(2 / 3, abs=1e-12)
     assert sol.Pr == pytest.approx(1 / 3, abs=1e-12)
     assert sol.Pa == pytest.approx(1 / 3, abs=1e-12)
@@ -153,13 +170,13 @@ def test_symmetric_m1_hand_solution():
 
 def test_single_class_reduces_to_erlang_b():
     for m, lam, rate in [(5, 3.0, 1.0), (12, 5.0, 1.0), (30, 20.0, 2.0)]:
-        sol = two_class_loss(m, lam, 0.0, rate, 1.0)
+        sol = two_class_loss(m, lam / rate, 0.0)
         assert sol.Ploss == pytest.approx(erlang_b(m, lam / rate), abs=1e-9)
         assert sol.Pa == pytest.approx(0.0, abs=1e-12)
 
 
 def test_exchangeable_classes_are_symmetric():
-    sol = two_class_loss(9, 4.0, 4.0, 1.5, 1.5)
+    sol = two_class_loss(9, 4.0 / 1.5, 4.0 / 1.5)
     assert sol.Pr == pytest.approx(sol.Pa, abs=1e-9)
 
 
@@ -204,9 +221,11 @@ def exact_steady_state(config):
 
 def check_exact(config):
     """Assert that steady_state(config) is exact_steady_state(config); False,
-    checking nothing, if a class load is past the largest float."""
+    having asserted that it raises, if a class load is past the largest float."""
     want = exact_steady_state(config)
     if want is None:
+        with pytest.raises(ValueError, match="class loads must be finite and non-negative"):
+            steady_state(config)
         return False
     got = steady_state(config)
     for name, g, w in zip(("Ploss", "Pr", "Pa"), (got.Ploss, got.Pr, got.Pa), want):
@@ -236,6 +255,16 @@ def test_steady_state_is_exact_at_the_float_edges(hold_mode, h, mu):
 @pytest.mark.parametrize("case", ORACLE_CASES, ids=lambda case: case.name)
 def test_steady_state_of_the_oracle_cases_is_exact(case):
     assert check_exact(case.config)
+
+
+@pytest.mark.parametrize("hold_mode, lambda1, k, mu", [
+    ("deterministic", 1e300, 1.0, 100.0),    # the attack load, 1e300 * 1e10
+    ("exponential", 1e300, 0.0, 5e-324),     # the regular load, 1e300 / (mu + 1e-10)
+])
+def test_a_class_load_past_the_float_range_raises(hold_mode, lambda1, k, mu):
+    config = static_config(hold_mode, 1e10, mu, lambda1, k)  # an accepted config
+    with pytest.raises(ValueError, match="class loads must be finite and non-negative"):
+        steady_state(config)
 
 
 def test_steady_state_is_exact_on_a_grid_of_extreme_configs():
