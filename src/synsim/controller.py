@@ -73,21 +73,22 @@ class LaController:
     """
 
     def __init__(self):
-        self.h_automaton = Automaton(H_ACTIONS, REWARD_STEP, PENALTY_STEP)
-        self.m_automaton = Automaton(M_ACTIONS, REWARD_STEP, PENALTY_STEP)
+        # (h, m), DefenseParams' field order: the order rng is read in and traced
+        self.automata = self.h_automaton, self.m_automaton = (
+            Automaton(H_ACTIONS, REWARD_STEP, PENALTY_STEP),
+            Automaton(M_ACTIONS, REWARD_STEP, PENALTY_STEP))
         self.prev_score = _NO_SCORE
         # (p_h, p_m) after each round; round r is at index r
         self.trace: list[tuple[tuple[float, ...], tuple[float, ...]]] = []
 
     def _end_round(self) -> DefenseParams:
         """Trace the round's vectors; returns its pair, the automata's last selections."""
-        h, m = self.h_automaton, self.m_automaton
-        self.trace.append((h.p, m.p))
-        return DefenseParams(h.actions[h.last_selected], m.actions[m.last_selected])
+        self.trace.append(tuple(a.p for a in self.automata))
+        return DefenseParams(*(a.actions[a.last_selected] for a in self.automata))
 
     def _sample(self, rng: np.random.Generator) -> None:
-        self.h_automaton.select(rng)  # h first, then m: the order rng is read in
-        self.m_automaton.select(rng)
+        for a in self.automata:
+            a.select(rng)
 
     def initial_params(self, rng: np.random.Generator) -> DefenseParams:
         self._sample(rng)
@@ -96,17 +97,12 @@ class LaController:
     def on_window_end(self, metrics: WindowMetrics,
                       rng: np.random.Generator) -> DefenseParams:
         score = window_score(metrics)
-        beta = feedback_signal(score, self.prev_score)
+        favorable = feedback_signal(score, self.prev_score) == 0
         self.prev_score = score
-        hi = self.h_automaton.last_selected
-        mi = self.m_automaton.last_selected
-        if beta == 0:
-            # keep the winning pair; last_selected stays valid for next round
-            self.h_automaton.reward(hi)
-            self.m_automaton.reward(mi)
-        else:
-            self.h_automaton.penalty(hi)
-            self.m_automaton.penalty(mi)
+        # a favorable window keeps the pair: last_selected stays valid for next round
+        for a in self.automata:
+            (a.reward if favorable else a.penalty)(a.last_selected)
+        if not favorable:
             self._sample(rng)
         return self._end_round()
 

@@ -61,9 +61,10 @@ class SimConfig:
         violations = validate_config(self)
         if violations:
             raise ValueError("invalid config: " + "; ".join(violations))
-        t, p = self.traffic, self.initial_params
+        t = self.traffic
         for name, value in (("traffic", TrafficModel(float(t.lambda1), float(t.k), float(t.mu))),
-                            ("initial_params", DefenseParams(float(p.h), int(p.m))),
+                            ("initial_params", checked_params(self.initial_params,
+                                                              "initial_params")),
                             ("master_seed", int(self.master_seed)),
                             ("total_requests", int(self.total_requests)),
                             ("window_size", int(self.window_size))):
@@ -82,6 +83,36 @@ def _is_finite(value) -> bool:
         return False
 
 
+def _recorder(v: list[str]):
+    def need(ok, name: str, rule: str):
+        """ok, after recording "<name> must <rule>" in v unless it holds."""
+        if not ok:
+            v.append(f"{name} must {rule}")
+        return ok
+    return need
+
+
+def _params_violations(p, name: str) -> list[str]:
+    """Every rule of an (h, m) pair that p, called name, breaks: "<field> must <rule>"."""
+    v: list[str] = []
+    need = _recorder(v)
+    if need(isinstance(p, DefenseParams), name, "be a DefenseParams"):
+        if need(_is_finite(p.h), "h", "be a finite number"):
+            need(p.h > 0, "h", "be strictly positive")
+        if need(_is_int(p.m), "m", "be an integer") and need(p.m >= 1, "m", "be at least 1"):
+            # the settle and the oracle divide by it as a float
+            need(_is_finite(p.m), "m", "be within the float range")
+    return v
+
+
+def checked_params(p, name: str = "(h, m)") -> DefenseParams:
+    """p as a config stores it, DefenseParams(float(h), int(m)); a pair that
+    breaks a rule raises ValueError naming each broken rule."""
+    if violations := _params_violations(p, name):
+        raise ValueError("; ".join(violations))
+    return DefenseParams(float(p.h), int(p.m))
+
+
 def validate_config(config: SimConfig) -> list[str]:
     """Return every violated constraint (empty list means the config is ok).
 
@@ -90,13 +121,7 @@ def validate_config(config: SimConfig) -> list[str]:
     which the CLI maps to the flag behind it.
     """
     v: list[str] = []
-
-    def need(ok, name: str, rule: str):
-        """ok, after recording "<name> must <rule>" unless it holds."""
-        if not ok:
-            v.append(f"{name} must {rule}")
-        return ok
-
+    need = _recorder(v)
     seed, total, window = config.master_seed, config.total_requests, config.window_size
     if need(_is_int(seed), "master_seed", "be an integer"):
         need(seed >= 0, "master_seed", "be non-negative")
@@ -113,13 +138,7 @@ def validate_config(config: SimConfig) -> list[str]:
                  "k", "keep the attack rate k * lambda1 finite")
         if need(_is_finite(t.mu), "mu", "be a finite number"):
             need(t.mu > 0, "mu", "be strictly positive")
-    p = config.initial_params
-    if need(isinstance(p, DefenseParams), "initial_params", "be a DefenseParams"):
-        if need(_is_finite(p.h), "h", "be a finite number"):
-            need(p.h > 0, "h", "be strictly positive")
-        if need(_is_int(p.m), "m", "be an integer") and need(p.m >= 1, "m", "be at least 1"):
-            # the settle and the oracle divide by it as a float
-            need(_is_finite(p.m), "m", "be within the float range")
+    v += _params_violations(config.initial_params, "initial_params")
     total_ok = need(_is_int(total), "total_requests", "be an integer")
     # as Python ints: numpy ints of two widths may not hold each other
     if (need(_is_int(window), "window_size", "be an integer")

@@ -85,7 +85,7 @@ from heapq import heappush, heapreplace
 import numpy as np
 
 from .controller import make_controller
-from .domain import DefenseParams, SimConfig, _is_finite
+from .domain import DefenseParams, SimConfig, _is_finite, checked_params
 from .metrics import WindowMetrics, cumulative_metrics, finalize_window
 
 _INF = math.inf
@@ -490,7 +490,9 @@ def run_simulation(config: SimConfig, controller=None, seed: int | None = None,
                    event_trace=None) -> SimReport:
     """Run the full event loop and return a complete report.
 
-    Same (config, seed) always yields a bit-identical report.  event_trace,
+    Same (config, seed) always yields a bit-identical report.  A controller
+    answers initial_params(rng) and on_window_end(window, rng) with a
+    DefenseParams, which runs as checked_params returns it.  event_trace,
     if given, is a writable text file receiving one tab-separated line per
     event: time, kind, class, occupancy-after, m, h.
     """
@@ -506,7 +508,7 @@ def run_simulation(config: SimConfig, controller=None, seed: int | None = None,
     arrivals = _ExpStream(rng_time, 1.0 / traffic.lambda1 / (1.0 + traffic.k))
     attack_share = traffic.k / (1.0 + traffic.k)
 
-    state = BacklogState(controller.initial_params(rng_la))
+    state = BacklogState(checked_params(controller.initial_params(rng_la)))
     wsize = config.window_size
     n_windows = config.total_requests // wsize
     per_block = max(1, _SAMPLE_BLOCK // wsize)  # the windows sampled at a time
@@ -528,7 +530,7 @@ def run_simulation(config: SimConfig, controller=None, seed: int | None = None,
             wm = finalize_window([e - s for e, s in zip(state.window_counters(), counts_start)],
                                  state.integral, state.clock - t_start)
             windows.append(wm)
-            new_params = controller.on_window_end(wm, rng_la)
+            new_params = checked_params(controller.on_window_end(wm, rng_la))
             if len(windows) < n_windows:  # no window is left to act on the last answer
                 if new_params != state.params and event_trace:
                     event_trace.write(f"{state.clock}\tparams\t-\t{sum(state.occupancy)}"

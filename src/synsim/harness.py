@@ -17,12 +17,12 @@ from dataclasses import dataclass, field, replace
 
 from . import oracle
 from .controller import LaController, make_controller
-from .domain import SimConfig, load_config
+from .domain import SimConfig, _is_int, load_config
 from .engine import KINDS, replay_trace, run_simulation
-from .metrics import WINDOW_FIELDS, window_values
+from .metrics import WindowMetrics
 
 # a window's fields but its duration, the last
-WINDOW_COLUMNS = ("window_index", "k", "controller", "h", "m", *WINDOW_FIELDS[:-1])
+WINDOW_COLUMNS = ("window_index", "k", "controller", "h", "m", *WindowMetrics._fields[:-1])
 LA_TRACE_COLUMNS = ("round", "automaton", "action_index", "action_value", "probability")
 SWEEP_COLUMNS = ("k", "seed", "controller", "Ploss", "Pr", "Pa", "J",
                  "mean_h", "mean_m", "legit_expired_fraction")
@@ -41,17 +41,16 @@ def window_csv(config: SimConfig, report) -> str:
     """Per-window CSV for one run (exact column order per the interface)."""
     k, kind = config.traffic.k, config.controller_kind
     return _csv(WINDOW_COLUMNS, (
-        (idx, k, kind, p.h, p.m, *window_values(w)[:-1])
+        (idx, k, kind, p.h, p.m, *w[:-1])
         for idx, (w, p) in enumerate(zip(report.windows, report.param_trajectory))))
 
 
 def la_trace_csv(controller: LaController) -> str:
     """Long-format probability-vector trace for both automata."""
-    automata = (("h", controller.h_automaton), ("m", controller.m_automaton))
     return _csv(LA_TRACE_COLUMNS, (
         (rnd, name, i, automaton.actions[i], prob)
         for rnd, vectors in enumerate(controller.trace)
-        for (name, automaton), p in zip(automata, vectors)
+        for name, automaton, p in zip(("h", "m"), controller.automata, vectors)
         for i, prob in enumerate(p)))
 
 
@@ -129,6 +128,8 @@ def run_sweep(spec: SweepSpec, out_path: str | None = None,
     if workers is None:  # the CPUs this process may run on
         workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                    else os.cpu_count() or 1)
+    elif not _is_int(workers):
+        raise ValueError(f"workers must be an integer, not {workers!r}")
     elif workers < 1:
         raise ValueError(f"workers must be at least 1, not {workers!r}")
     workers = min(workers, len(cells))  # a pool may start all its workers at once

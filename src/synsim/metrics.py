@@ -8,14 +8,12 @@ factor floored at EPSILON_FLOOR so the no-attack case stays finite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from operator import attrgetter
+from typing import NamedTuple
 
 EPSILON_FLOOR = 1e-6
 
 
-@dataclass(frozen=True)
-class WindowMetrics:
+class WindowMetrics(NamedTuple):
     arrivals_regular: int
     arrivals_attack: int
     blocked_regular: int
@@ -29,9 +27,7 @@ class WindowMetrics:
     window_duration: float
 
 
-WINDOW_FIELDS = tuple(f.name for f in fields(WindowMetrics))
-window_values = attrgetter(*WINDOW_FIELDS)  # a window's fields, in order, as a tuple
-_N_COUNTS = WINDOW_FIELDS.index("Ploss")  # the counts come first
+_N_COUNTS = WindowMetrics._fields.index("Ploss")  # the counts come first
 
 
 def objective(Pr: float, Pa: float, Ploss: float) -> float:
@@ -72,7 +68,7 @@ def cumulative_metrics(windows: list[WindowMetrics]) -> WindowMetrics:
     """
     if not windows:
         raise ValueError("no windows to aggregate")
-    rows = [(*window_values(w)[:_N_COUNTS], w.Pr * w.window_duration,
+    rows = [(*w[:_N_COUNTS], w.Pr * w.window_duration,
              w.Pa * w.window_duration, w.window_duration) for w in windows]
     *counts, regular, attack, duration = map(sum, zip(*rows))
     return finalize_window(counts, (regular, attack), duration)

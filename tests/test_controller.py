@@ -64,6 +64,13 @@ def test_feedback_previous_window_mode():
     assert ctrl.h_automaton.p[hi] < p_before
 
 
+def test_the_automata_are_one_h_m_pair():
+    ctrl = LaController()
+    h, m = ctrl.automata
+    assert h is ctrl.h_automaton and m is ctrl.m_automaton
+    assert (h.actions, m.actions) == (H_ACTIONS, M_ACTIONS)
+
+
 def test_round_zero_selection_is_reproducible():
     picks = set()
     for _ in range(3):

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import io
 import math
@@ -923,3 +924,69 @@ def test_ordering_scan_catches_inverted_tie_break():
 def test_invalid_config_is_rejected():
     with pytest.raises(ValueError, match="invalid config"):
         run_simulation(cfg(window_size=0))
+
+
+# -- controllers passed in ---------------------------------------------------
+
+
+class Scripted:
+    """A controller giving answers in order: the first to initial_params, one to each window's end."""
+
+    def __init__(self, answers):
+        self.answers = iter(answers)
+
+    def initial_params(self, rng):
+        return next(self.answers)
+
+    def on_window_end(self, window, rng):
+        return next(self.answers)
+
+
+SCRIPTED = cfg(master_seed=0, total_requests=2000, window_size=500)  # 4 windows
+
+
+def traced(config, controller=None):
+    """A run's report, window CSV and event trace."""
+    buf = io.StringIO()
+    report = run_simulation(config, controller=controller, event_trace=buf)
+    return report, window_csv(config, report), buf.getvalue()
+
+
+@pytest.mark.parametrize("first", [True, False], ids=["initial", "later"])
+@pytest.mark.parametrize("answer, message", [
+    (DefenseParams(75.0, 0), "m must be at least 1"),
+    (DefenseParams(-5.0, 8), "h must be strictly positive"),
+    (DefenseParams(math.nan, 8), "h must be a finite number"),
+    (DefenseParams(75.0, 2.5), "m must be an integer"),
+    ((75.0, 128), r"\(h, m\) must be a DefenseParams"),
+], ids=["m=0", "h=-5", "h=nan", "m=2.5", "tuple"])
+def test_a_controllers_bad_answer_is_rejected_naming_its_field(answer, message, first):
+    # the bad answer comes first, or from the second window on
+    answers = [answer] * 5 if first else [SCRIPTED.initial_params] + [answer] * 4
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_simulation(SCRIPTED, controller=Scripted(answers))
+
+
+def test_an_int_h_answer_runs_and_is_written_as_a_float():
+    report, csv_text, trace = traced(SCRIPTED, Scripted([DefenseParams(75, 128)] * 5))
+    assert all(type(p.h) is float and p.h == 75.0 for p in report.param_trajectory)
+    assert {row["h"] for row in csv.DictReader(io.StringIO(csv_text))} == {"75.0"}
+    assert {line.split("\t")[5] for line in trace.splitlines()} == {"75.0"}
+    assert replay_trace(trace) == report.totals
+
+
+def test_a_controller_answering_the_initial_pair_writes_the_static_bytes():
+    static = traced(SCRIPTED)
+    constant = traced(SCRIPTED, Scripted([SCRIPTED.initial_params] * 5))
+    assert constant[1:] == static[1:]
+
+
+def test_a_scripted_schedule_is_the_param_trajectory():
+    # an h change that evicts (k = 2 keeps attack entries resident), an m shrink,
+    # an m growth; the answer to the last window has none left to act on
+    schedule = [DefenseParams(75.0, 128), DefenseParams(1.0, 128), DefenseParams(1.0, 64),
+                DefenseParams(20.0, 256), DefenseParams(0.5, 8)]
+    config = replace(SCRIPTED, traffic=TrafficModel(lambda1=10.0, k=2.0, mu=100.0))
+    report, _, trace = traced(config, Scripted(schedule))
+    assert report.param_trajectory == schedule[:4]
+    assert replay_trace(trace) == report.totals

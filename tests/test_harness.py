@@ -229,7 +229,7 @@ def test_sweep_builds_its_cells_once(monkeypatch):
     assert len(calls) == 4
 
 
-@pytest.mark.parametrize("workers", [0, -5])
+@pytest.mark.parametrize("workers", [0, -5, 1.5, "2", True])
 def test_sweep_rejects_a_bad_worker_count(workers, monkeypatch):
     def no_run(*args, **kwargs):
         raise AssertionError("a cell or pool started")
@@ -237,8 +237,15 @@ def test_sweep_rejects_a_bad_worker_count(workers, monkeypatch):
     monkeypatch.setattr(harness, "_run_cell", no_run)
     monkeypatch.setattr(harness, "ProcessPoolExecutor", no_run)
     spec = SweepSpec(base_config=cfg(), k_values=(0.5,), seeds=(1,))
-    with pytest.raises(ValueError, match=f"^workers must be at least 1, not {workers}$"):
+    rule = "be at least 1" if type(workers) is int else "be an integer"
+    message = f"workers must {rule}, not {workers!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         run_sweep(spec, workers=workers)
+
+
+def test_sweep_takes_a_numpy_worker_count():
+    spec = SweepSpec(base_config=cfg(), k_values=(0.5,), seeds=(1,))
+    assert run_sweep(spec, workers=np.int64(1)) == run_sweep(spec, workers=1)
 
 
 def test_an_explicit_worker_count_is_capped_at_the_cells(monkeypatch):
