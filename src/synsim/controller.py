@@ -1,4 +1,4 @@
-"""Per-window decision policies: the static baseline and the adaptive tuner.
+"""Per-window decision policies: the fixed schedule and the adaptive tuner.
 
 The adaptive controller runs two independent automata, one over the hold
 time grid and one over the capacity grid.  At every window boundary it
@@ -10,6 +10,7 @@ updates both automata with that shared signal, and emits the next (h, m).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -49,17 +50,25 @@ def feedback_signal(score, baseline) -> int:
 
 
 class StaticController:
-    """Fixed (h, m) at every round; models the stock Linux configuration."""
+    """A fixed schedule of (h, m) pairs: window i runs under schedule[min(i, len - 1)].
 
-    def __init__(self, params: DefenseParams):
-        self.params = params
+    initial_params restarts it; run_simulation checks each entry it answers.
+    """
+
+    def __init__(self, schedule: Sequence[DefenseParams]):
+        self.schedule = tuple(schedule)
+        if not self.schedule:
+            raise ValueError("schedule must be non-empty")
+        self.window = 0  # the window of the last answer
 
     def initial_params(self, rng: np.random.Generator) -> DefenseParams:
-        return self.params
+        self.window = 0
+        return self.schedule[0]
 
     def on_window_end(self, metrics: WindowMetrics,
                       rng: np.random.Generator) -> DefenseParams:
-        return self.params
+        self.window += 1
+        return self.schedule[min(self.window, len(self.schedule) - 1)]
 
 
 class LaController:
@@ -109,5 +118,5 @@ class LaController:
 
 def make_controller(config) -> StaticController | LaController:
     if config.controller_kind == "static":
-        return StaticController(config.initial_params)
+        return StaticController((config.initial_params,))
     return LaController()

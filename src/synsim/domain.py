@@ -46,6 +46,7 @@ class SimConfig:
     """One run's settings; building one that validate_config rejects raises ValueError.
 
     Numbers are stored as float (lambda1, k, mu, h) or int (the rest), whatever their type.
+    initial_params is the static pair and the oracle's; LaController draws its own first pair.
     """
 
     master_seed: int

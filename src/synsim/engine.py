@@ -85,7 +85,7 @@ from heapq import heappush, heapreplace
 import numpy as np
 
 from .controller import make_controller
-from .domain import DefenseParams, SimConfig, _is_finite, checked_params
+from .domain import DefenseParams, SimConfig, _params_violations, checked_params
 from .metrics import WindowMetrics, cumulative_metrics, finalize_window
 
 _INF = math.inf
@@ -434,10 +434,8 @@ def replay_trace(text: str) -> RunTotals:
         step, t = _STEP[kind], parsed(float, "time", t)
         occupancy, m = parsed(int, "occupancy", occupancy), parsed(int, "m", m_h[0])
         h = parsed(float, "h", m_h[1])  # compared as text, but a number
-        if not (m >= 1 and _is_finite(m)):
-            raise broken(f"m {m_h[0]!r} is not at least 1 and within the float range")
-        if not 0 < h < _INF:
-            raise broken(f"h {m_h[1]!r} is not finite and positive")
+        if m_h != columns and (v := _params_violations(DefenseParams(h, m), "(h, m)")):
+            raise broken(f"m {m_h[0]!r}, h {m_h[1]!r}: " + "; ".join(v))
         for name, written, value in zip(("time", "occupancy", "m", "h"), row[:1] + row[3:],
                                         (t, occupancy, m, h)):
             if str(value) != written:  # the writer's form: '+1', '01', '1_0' or 'Infinity' fail

@@ -1,6 +1,7 @@
 import itertools
 
 import numpy as np
+import pytest
 
 from synsim.controller import (H_ACTIONS, M_ACTIONS, LaController, StaticController,
                                feedback_signal, window_score)
@@ -15,7 +16,7 @@ def window_with_j(j):
 
 
 def test_static_returns_fixed_params_every_round():
-    ctrl = StaticController(DefenseParams(75.0, 128))
+    ctrl = StaticController((DefenseParams(75.0, 128),))
     rng = np.random.default_rng(0)
     assert ctrl.initial_params(rng) == DefenseParams(75.0, 128)
     for _ in range(100):
@@ -23,9 +24,14 @@ def test_static_returns_fixed_params_every_round():
 
 
 def test_static_custom_params_pass_through():
-    ctrl = StaticController(DefenseParams(10.0, 64))
+    ctrl = StaticController((DefenseParams(10.0, 64),))
     rng = np.random.default_rng(0)
     assert ctrl.on_window_end(window_with_j(5.0), rng) == DefenseParams(10.0, 64)
+
+
+def test_an_empty_schedule_is_rejected():
+    with pytest.raises(ValueError, match="^schedule must be non-empty$"):
+        StaticController(())
 
 
 def test_feedback_strict_improvement_is_favorable():

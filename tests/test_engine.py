@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from synsim import engine
-from synsim.controller import LaController
+from synsim.controller import LaController, StaticController
 from synsim.domain import DefenseParams, SimConfig, TrafficModel
 from synsim.engine import (ADMIT, ATT, CLASS_LABEL, DEP, EVENT_LABELS, HOLD_UNIT, REG, SERVICE,
                            BacklogState, ConservationError, _ExpStream,
@@ -670,18 +670,19 @@ def time_decreases(lines):
     (lambda _: (tsv("0.5 admit attack 1 128 abc"), 1), "h 'abc' is not a number"),
     # m and h as no config holds them, a params line's included
     (lambda _: (tsv("0.5 block attack 0 0 75.0"), 1),
-     "m '0' is not at least 1 and within the float range"),
+     "m '0', h '75.0': m must be at least 1"),
     (lambda _: (tsv("0.5 admit attack 1 128 75.0", "1.0 params - 1 -7 75.0",
                     "2.0 expire attack 0 -7 75.0"), 2),
-     "m '-7' is not at least 1 and within the float range"),
+     "m '-7', h '75.0': m must be at least 1"),
     (lambda _: (tsv(f"0.5 admit attack 1 {10**400} 75.0", f"2.0 expire attack 0 {10**400} 75.0"),
-                1), f"m '{10**400}' is not at least 1 and within the float range"),
+                1), f"m '{10**400}', h '75.0': m must be within the float range"),
     (lambda _: (tsv("0.5 admit attack 1 128 -3", "2.0 expire attack 0 128 -3"), 1),
-     "h '-3' is not finite and positive"),
+     "m '128', h '-3': h must be strictly positive"),
     (lambda _: (tsv("0.5 admit attack 1 128 inf", "2.0 expire attack 0 128 inf"), 1),
-     "h 'inf' is not finite and positive"),
+     "m '128', h 'inf': h must be a finite number"),
     (lambda _: (tsv("0.5 admit attack 1 128 75.0", "1.0 params - 1 128 0.0",
-                    "2.0 expire attack 0 128 0.0"), 2), "h '0.0' is not finite and positive"),
+                    "2.0 expire attack 0 128 0.0"), 2),
+     "m '128', h '0.0': h must be strictly positive"),
     # a departure first, made up by a later admission, would end at 0
     (lambda _: (tsv("0.5 expire attack -1 128 75.0", "1.0 admit attack 0 128 75.0"), 1),
      "a departure with no resident"),
@@ -929,19 +930,6 @@ def test_invalid_config_is_rejected():
 # -- controllers passed in ---------------------------------------------------
 
 
-class Scripted:
-    """A controller giving answers in order: the first to initial_params, one to each window's end."""
-
-    def __init__(self, answers):
-        self.answers = iter(answers)
-
-    def initial_params(self, rng):
-        return next(self.answers)
-
-    def on_window_end(self, window, rng):
-        return next(self.answers)
-
-
 SCRIPTED = cfg(master_seed=0, total_requests=2000, window_size=500)  # 4 windows
 
 
@@ -964,11 +952,11 @@ def test_a_controllers_bad_answer_is_rejected_naming_its_field(answer, message, 
     # the bad answer comes first, or from the second window on
     answers = [answer] * 5 if first else [SCRIPTED.initial_params] + [answer] * 4
     with pytest.raises(ValueError, match=f"^{message}$"):
-        run_simulation(SCRIPTED, controller=Scripted(answers))
+        run_simulation(SCRIPTED, controller=StaticController(answers))
 
 
 def test_an_int_h_answer_runs_and_is_written_as_a_float():
-    report, csv_text, trace = traced(SCRIPTED, Scripted([DefenseParams(75, 128)] * 5))
+    report, csv_text, trace = traced(SCRIPTED, StaticController([DefenseParams(75, 128)]))
     assert all(type(p.h) is float and p.h == 75.0 for p in report.param_trajectory)
     assert {row["h"] for row in csv.DictReader(io.StringIO(csv_text))} == {"75.0"}
     assert {line.split("\t")[5] for line in trace.splitlines()} == {"75.0"}
@@ -977,7 +965,7 @@ def test_an_int_h_answer_runs_and_is_written_as_a_float():
 
 def test_a_controller_answering_the_initial_pair_writes_the_static_bytes():
     static = traced(SCRIPTED)
-    constant = traced(SCRIPTED, Scripted([SCRIPTED.initial_params] * 5))
+    constant = traced(SCRIPTED, StaticController([SCRIPTED.initial_params] * 5))
     assert constant[1:] == static[1:]
 
 
@@ -987,6 +975,33 @@ def test_a_scripted_schedule_is_the_param_trajectory():
     schedule = [DefenseParams(75.0, 128), DefenseParams(1.0, 128), DefenseParams(1.0, 64),
                 DefenseParams(20.0, 256), DefenseParams(0.5, 8)]
     config = replace(SCRIPTED, traffic=TrafficModel(lambda1=10.0, k=2.0, mu=100.0))
-    report, _, trace = traced(config, Scripted(schedule))
+    report, _, trace = traced(config, StaticController(schedule))
     assert report.param_trajectory == schedule[:4]
     assert replay_trace(trace) == report.totals
+
+
+def test_a_schedule_shorter_than_the_run_holds_its_last_entry():
+    s0, s1 = DefenseParams(75.0, 128), DefenseParams(1.0, 64)
+    report, _, trace = traced(SCRIPTED, StaticController((s0, s1)))
+    assert report.param_trajectory == [s0, s1, s1, s1]
+    assert replay_trace(trace) == report.totals
+
+
+def test_one_schedule_controller_serves_repeated_runs():
+    # initial_params restarts the schedule: a second run of 3 entries over 4
+    # windows would otherwise start at its last entry from window 1 on
+    controller = StaticController((DefenseParams(75.0, 128), DefenseParams(1.0, 64),
+                                   DefenseParams(20.0, 256)))
+    first = traced(SCRIPTED, controller)
+    assert first == traced(SCRIPTED, controller)
+    assert len(set(first[0].param_trajectory)) == 3
+
+
+@pytest.mark.parametrize("params", [DefenseParams(1.0, 8), DefenseParams(0.5, 1024)],
+                         ids=["1-8", "0.5-1024"])
+def test_an_la_configs_initial_params_has_no_effect(params):
+    # the LA's first pair is sampled from the uniform priors; the field is the
+    # static controller's pair and the oracle's
+    config = cfg(master_seed=1, controller_kind="la")
+    assert config.initial_params == DefenseParams(75.0, 128)
+    assert traced(replace(config, initial_params=params)) == traced(config)

@@ -469,6 +469,16 @@ def test_readme_library_example_runs(capsys):
     assert 0.0 <= ploss <= 1.0 and math.isfinite(j)
 
 
+def test_readme_schedule_example_runs(capsys):
+    # README's StaticController block runs as written: window i under entry min(i, 1)
+    block = re.search(r"\n```python\n([^`]*StaticController\(schedule\)[^`]*)```", README, re.S)
+    namespace = {}
+    exec(block.group(1), namespace)
+    s0, s1 = namespace["schedule"]
+    assert namespace["report"].param_trajectory == [s0, s1, s1, s1]
+    assert capsys.readouterr().out.startswith("[DefenseParams(h=75.0, m=128), ")
+
+
 def test_cli_validate_exit_status(monkeypatch, capsys):
     # short oracle runs: every case passes within 1 and fails within 0
     for tol, status in ((1.0, 0), (0.0, 1)):
